@@ -194,19 +194,27 @@ let geometry_cascade graph ~crashes =
   in
   (ms *. 1000.0 /. float_of_int crashes, Incr_geometry.resident_words incr)
 
-(* One confined large-N run on an implicit ring: an 8-node region
-   crashed at low ids, steppers only for the closed neighbourhood.  CD3
-   is why the roster is sound — no message can leave
-   [region ∪ border(region)] — and the checker verifies exactly that on
-   the outcome. *)
+(* Best of five timings of a deterministic run: a single sub-ms sample
+   is at the mercy of whichever major GC slice lands in it (the X4 rows
+   follow flooding runs that leave a large heap behind). *)
+let best_time_ms f =
+  let result, first = Json_out.time_ms f in
+  let best = ref first in
+  for _ = 2 to 5 do
+    best := Float.min !best (snd (Json_out.time_ms f))
+  done;
+  (result, !best)
+
+(* One large-N run on an implicit ring: an 8-node region crashed at low
+   ids.  The runner activates only the nodes the run contacts — by CD3,
+   [region ∪ border(region)] — and the checker verifies that locality
+   on the outcome. *)
 let implicit_ring_run n =
   let graph = Topology.implicit_ring n in
   let region = Fault_gen.compact_region graph ~seed_node:(Node_id.of_int 8) ~size:8 in
-  let active = Graph.closed_neighbourhood graph region in
   let crashes = Fault_gen.crash_at 10.0 region in
-  let options = { Runner.default_options with active_nodes = Some active } in
-  Json_out.time_ms (fun () ->
-      Runner.run ~options ~graph ~crashes ~propose_value:Scenario.default_propose ())
+  best_time_ms (fun () ->
+      Runner.run ~graph ~crashes ~propose_value:Scenario.default_propose ())
 
 let x4 () =
   let t =
@@ -236,7 +244,7 @@ let x4 () =
       let graph = Topology.ring n in
       let crashes = Fault_gen.crash_at 10.0 (ring_region n) in
       let ce, ce_ms =
-        Json_out.time_ms (fun () ->
+        best_time_ms (fun () ->
             Runner.run ~graph ~crashes ~propose_value:Scenario.default_propose ())
       in
       assert (Checker.ok (Checker.check ce));
@@ -246,7 +254,7 @@ let x4 () =
           cell "%d" (Stats.units_sent ce.stats);
           cell "%d" (Node_set.cardinal (Stats.communicating_nodes ce.stats));
           cell "%.0f" ce.duration;
-          cell "%.1f" ce_ms;
+          cell "%.2f" ce_ms;
           "-";
         ]
       in
@@ -314,7 +322,7 @@ let x4 () =
           cell "%d" (Stats.units_sent ce.stats);
           cell "%d" (Node_set.cardinal (Stats.communicating_nodes ce.stats));
           cell "%.0f" ce.duration;
-          cell "%.1f" ce_ms;
+          cell "%.2f" ce_ms;
           cell "%.2f" per_crash_us;
           "-";
           "-";
@@ -1142,7 +1150,7 @@ let trace_smoke () =
   Json_out.record ~section:"trace"
     [ ("x16_drop20_arq", Obs.Metrics.to_json metrics) ]
 
-(* Large-N smoke for the @bench-smoke gate: one confined cliff-edge run
+(* Large-N smoke for the @bench-smoke gate: one cliff-edge run
    on a never-materialized 100k-node ring, then a 512-crash cascade
    through the incremental geometry with hard ceilings on per-crash
    wall time and tracker residency.  The ceilings are deliberately

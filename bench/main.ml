@@ -421,7 +421,7 @@ let compare_files ~threshold ~alloc_threshold ~json baseline candidate =
   let failed = !regressions <> [] in
   Option.iter
     (fun file ->
-      Json.to_file file
+      Json_out.write file
         (Json.Obj
            [
              ("schema", Json.String "cliffedge-bench-compare/1");

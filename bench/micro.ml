@@ -89,10 +89,9 @@ let bench_baseline_e2e =
   Test.make ~name:"e2e: flooding baseline on 32-ring (same fault)"
     (Staged.stage (fun () -> Cliffedge_baseline.Global_runner.run ~graph ~crashes ()))
 
-(* Ablation for the view-construction design note (DESIGN.md): absorbing
-   a 64-node cascade one crash at a time, recomputing components by BFS
-   per crash (the paper-literal approach) vs maintaining them
-   incrementally with a DSU. *)
+(* View construction under a cascade: absorbing a 64-node cascade one
+   crash at a time, recomputing components by (memoized) BFS per crash —
+   the paper-literal approach the protocol keeps. *)
 let cascade_order =
   let rng = Prng.create 5 in
   let big_torus = Topology.torus 24 24 in
@@ -114,17 +113,6 @@ let bench_components_bfs =
                 acc)
               Node_set.empty order)))
 
-let bench_components_dsu =
-  let graph, order = cascade_order in
-  Test.make ~name:"view construction: DSU incremental (64-node cascade)"
-    (Staged.stage (fun () ->
-         let inc = Dsu.Components.create graph in
-         List.iter
-           (fun p ->
-             Dsu.Components.add inc p;
-             ignore (Dsu.Components.components inc))
-           order))
-
 let tests =
   [
     bench_prng;
@@ -137,7 +125,6 @@ let tests =
     bench_cliffedge_e2e;
     bench_baseline_e2e;
     bench_components_bfs;
-    bench_components_dsu;
   ]
 
 let pp_ns ppf ns =

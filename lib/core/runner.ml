@@ -30,7 +30,6 @@ type options = {
   channel : Transport.channel;
   max_events : int;
   false_suspicions : (float * Node_id.t * Node_id.t) list;
-  active_nodes : Node_set.t option;
 }
 
 let default_options =
@@ -43,7 +42,6 @@ let default_options =
     channel = Transport.Reliable;
     max_events = 50_000_000;
     false_suspicions = [];
-    active_nodes = None;
   }
 
 type 'v outcome = {
@@ -90,24 +88,10 @@ let protocol_stepper cfg ~self =
   }
 
 let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
-  (* The roster of simulated nodes: every node of the graph, or — for
-     large-N confined runs — an explicit subset.  Confinement is sound
-     exactly when the roster is closed under the protocol's locality:
-     CD3 keeps every exchange inside [view ∪ border(view)], so a roster
-     of [closed_neighbourhood graph region] already contains every node
-     a run crashing inside [region] can ever involve, and a million
-     bystander nodes need no steppers. *)
-  let active =
-    match options.active_nodes with
-    | Some s -> s
-    | None -> Graph.nodes graph
-  in
   List.iter
     (fun (_, p) ->
       if not (Graph.mem_node p graph) then
-        invalid_arg "Runner.run: crash schedule names a node outside the graph";
-      if not (Node_set.mem p active) then
-        invalid_arg "Runner.run: crash schedule names a node outside active_nodes")
+        invalid_arg "Runner.run: crash schedule names a node outside the graph")
     crashes;
   (* Geometry deltas ride the crash-injection thunks, so the tracker is
      exact at every simulated instant and the final snapshot costs the
@@ -120,12 +104,11 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
       ~channel_consistent_fd:options.channel_consistent_fd ()
   in
   let { Substrate.engine; detector; obs; _ } = substrate in
-  (* Dense node table: ids index directly, no hashing on the dispatch
-     path. *)
-  let max_id =
-    Node_set.fold (fun p m -> Int.max m (Node_id.to_int p)) active 0
-  in
-  let states = Array.make (max_id + 1) None in
+  (* Steppers of the activated nodes, indexed by id (no hashing on the
+     dispatch path) and grown on demand: a run that touches a region
+     of a million-node graph holds steppers for the region's
+     neighbourhood only. *)
+  let steppers = ref [||] in
   let decisions = ref [] in
   let notes = ref [] in
   (* Seq of the last round-chain event ([Propose]/[Round]/...) each node
@@ -231,52 +214,68 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
             in
             Hashtbl.replace instance_last (chain_slot p kid) seq);
         notes := (Engine.now engine, p, note) :: !notes
+  and step p stepper event =
+    match stepper.step event with
+    | [] -> ()
+    | actions ->
+        (* One batching scope per protocol step: everything this step
+           sends to a given neighbour — a cascade of round advances, a
+           rejection plus a proposal — rides one envelope. *)
+        if has_send actions then
+          Substrate.batched substrate (fun () -> List.iter (execute p) actions)
+        else List.iter (execute p) actions
+  (* A node comes up — its stepper is built and fed [Init] — at its
+     first contact with the run: a crash at or next to it, a false
+     suspicion it observes, or a delivery.  Init of a node with no
+     crashed neighbour only subscribes to live nodes, which draws
+     nothing from the PRNG and schedules nothing, so activating late
+     is indistinguishable from booting every node at time 0: a crashed
+     node has a crashed neighbour only if that neighbour's own crash
+     activated it first. *)
+  and active p =
+    let i = Node_id.to_int p in
+    let n = Array.length !steppers in
+    match if i < n then !steppers.(i) else None with
+    | Some stepper -> stepper
+    | None ->
+        if i >= n then begin
+          let grown = Array.make (Int.max (i + 1) (2 * n)) None in
+          Array.blit !steppers 0 grown 0 n;
+          steppers := grown
+        end;
+        let stepper = make p in
+        !steppers.(i) <- Some stepper;
+        step p stepper Protocol.Init;
+        stepper
   and dispatch p event =
-    (* Nodes outside the roster (possible only under [active_nodes]
-       confinement) have no slot and swallow events, as a crashed node
-       would. *)
-    if
-      Node_id.to_int p < Array.length states
-      && not (Failure_detector.is_crashed detector p)
-    then begin
-      match states.(Node_id.to_int p) with
-      | None -> ()
-      | Some stepper -> (
-          match stepper.step event with
-          | [] -> ()
-          | actions ->
-              (* One batching scope per protocol step: everything this
-                 step sends to a given neighbour — a cascade of round
-                 advances, a rejection plus a proposal — rides one
-                 envelope. *)
-              if has_send actions then
-                Substrate.batched substrate (fun () ->
-                    List.iter (execute p) actions)
-              else List.iter (execute p) actions)
-    end
+    if not (Failure_detector.is_crashed detector p) then step p (active p) event
   in
+  let ensure_active p = ignore (active p) in
   Substrate.on_deliver substrate (fun ~src ~dst msg ->
       dispatch dst (Protocol.Deliver { src; msg }));
   Substrate.on_crash_notification substrate (fun ~observer ~crashed ->
       dispatch observer (Protocol.Crash crashed));
-  (* Bring every roster node up at time 0. *)
-  Node_set.iter (fun p -> states.(Node_id.to_int p) <- Some (make p)) active;
-  Node_set.iter (fun p -> dispatch p Protocol.Init) active;
+  (* Before the detector looks for the observers of a crashing node,
+     the node and all its neighbours are up and subscribed. *)
+  Substrate.before_crash substrate (fun q ->
+      ensure_active q;
+      Node_set.iter ensure_active (Graph.neighbours graph q));
   (* Inject the fault schedule and run to quiescence. *)
   Substrate.schedule_crashes substrate crashes;
-  Substrate.run ~false_suspicions:options.false_suspicions
-    ~max_events:options.max_events substrate;
+  List.iter
+    (fun (time, observer, target) ->
+      ignore
+        (Engine.schedule_at engine ~time (fun () ->
+             if Graph.mem_node observer graph then ensure_active observer;
+             Failure_detector.inject_false_suspicion detector ~observer ~target)))
+    options.false_suspicions;
+  Substrate.run ~max_events:options.max_events substrate;
   let states =
-    Node_set.fold
-      (fun p acc ->
-        match states.(Node_id.to_int p) with
-        | Some stepper -> (
-            match stepper.flat_state () with
-            | Some st -> (p, st) :: acc
-            | None -> acc)
-        | None -> acc)
-      active []
-    |> List.sort (fun (a, _) (b, _) -> Node_id.compare a b)
+    Array.to_seqi !steppers
+    |> Seq.filter_map (fun (i, slot) ->
+           Option.bind slot (fun stepper -> stepper.flat_state ())
+           |> Option.map (fun st -> (Node_id.of_int i, st)))
+    |> List.of_seq
   in
   {
     graph;

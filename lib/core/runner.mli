@@ -1,11 +1,21 @@
 (** Executes the protocol over the simulated substrates.
 
-    The runner instantiates one protocol state machine per node of the
-    knowledge graph, wires it to the deterministic event engine, the FIFO
-    network and the perfect failure detector, injects a crash schedule,
-    and runs the system to quiescence (no pending events).  Because every
-    latency draw comes from the seeded PRNG, an outcome is a pure
-    function of [(graph, crashes, seed, options)]. *)
+    The runner wires protocol state machines to the deterministic event
+    engine, the FIFO network and the perfect failure detector, injects a
+    crash schedule, and runs the system to quiescence (no pending
+    events).  Because every latency draw comes from the seeded PRNG, an
+    outcome is a pure function of [(graph, crashes, seed, options)].
+
+    A node's state machine is built and fed [Init] only when the run
+    first contacts the node: when it or a neighbour is about to crash,
+    when it observes a false suspicion, or when a message reaches it.
+    Nodes the run never touches cost nothing, so a run's cost depends
+    on the crashed region and not on the size of the graph — the
+    locality claim of §1, by construction.  Activation is invisible in
+    the outcome: [Init] only subscribes a node to its neighbours, and a
+    node with a crashed neighbour was activated by that crash, so a
+    late [Init] draws no latency and schedules no event — every trace
+    is byte-identical to booting every node at time 0. *)
 
 open Cliffedge_graph
 
@@ -50,16 +60,6 @@ type options = {
           deliver a false crash suspicion, breaking the detector's
           strong accuracy.  Empty (the default) keeps the detector
           perfect, as the paper requires. *)
-  active_nodes : Node_set.t option;
-      (** [None] (default): every graph node gets a stepper.  [Some s]:
-          only the nodes of [s] are simulated — the large-N confinement
-          mode.  Sound when [s] is closed under the protocol's locality,
-          i.e. contains [closed_neighbourhood graph region] for every
-          region the schedule crashes into: CD3 confines all traffic to
-          [view ∪ border(view)], so bystanders outside [s] can never be
-          addressed.  Events to nodes outside [s] (none, when [s] is
-          chosen as above) are swallowed.  Crashes must name nodes
-          inside [s]. *)
 }
 
 val default_options : options
@@ -82,7 +82,9 @@ type 'v outcome = {
       (** ARQ channels that exhausted their retries (permanent
           partition); empty on reliable and raw channels *)
   states : (Node_id.t * 'v Protocol.state) list;
-      (** final state of every node, crashed ones included *)
+      (** final state of every activated node, crashed ones included,
+          in ascending id order; nodes the run never contacted are
+          absent (their state is still {!Protocol.init}) *)
   obs : Cliffedge_obs.Log.t;
       (** the causal event log of the run: crashes, suspicions, sends,
           deliveries, ARQ retransmissions and protocol breadcrumbs,
@@ -138,7 +140,9 @@ val run_stepper :
   make:(Node_id.t -> 'v stepper) ->
   unit ->
   'v outcome
-(** Like {!run}, with one stepper built per node by [make].
+(** Like {!run}, with one stepper per activated node, built by [make]
+    at the node's first contact (see the module header): [make] runs
+    once per node the run touches, never for the rest of the graph.
     [options.early_stopping] is NOT applied (the caller's config
     already decided it) — the remaining options drive the substrate
     exactly as {!run} does. *)

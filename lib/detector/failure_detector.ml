@@ -10,11 +10,11 @@ module Latency = Cliffedge_net.Latency
    contiguously), so the arrays stay tiny.
 
    There is deliberately no observer-indexed-by-target inverse table:
-   registration runs once per (node, neighbour) pair at start-up — the
-   bulk of a quiescent run's detector traffic — while crashes are rare,
-   so [inject_crash] recovers the observers with one bounded ascending
-   scan over the subscription rows instead (same notification order as
-   iterating an inverse set would give: ascending observer id). *)
+   registration runs once per (node, neighbour) pair — the bulk of a
+   quiescent run's detector traffic — while crashes are rare, so
+   [inject_crash] recovers the observers by walking the ids that hold a
+   subscription row, in ascending order (the notification order
+   iterating an inverse set would give). *)
 type t = {
   engine : Engine.t;
   rng : Prng.t;
@@ -26,9 +26,8 @@ type t = {
      false suspicion (so a later genuine crash must not re-notify).
      Rows stay empty unless suspicions are injected. *)
   mutable consumed : Node_set.t array;
-  (* exclusive upper bound of observer ids with a subscription row,
-     bounding the [inject_crash] scan *)
-  mutable max_observer : int;
+  (* ids whose subscription row is non-empty: the [inject_crash] walk *)
+  mutable observers : Node_set.t;
   (* node id -> crash time; [nan] = alive.  [crashed] mirrors the
      non-[nan] slots as a set for [crashed_nodes]. *)
   mutable crash_times : float array;
@@ -44,7 +43,7 @@ let create ~engine ~rng ~latency ?channel_floor () =
     latency;
     subscriptions = Array.make 64 Node_set.empty;
     consumed = Array.make 64 Node_set.empty;
-    max_observer = 0;
+    observers = Node_set.empty;
     crash_times = Array.make 64 Float.nan;
     crashed = Node_set.empty;
     channel_floor;
@@ -122,7 +121,6 @@ let[@lint.cold] notify_crashed_fresh t ~observer fresh =
 let[@lint.hot_path] [@lint.allow "hot-path-alloc"] monitor t ~observer ~targets =
   let oi = Node_id.to_int observer in
   t.subscriptions <- grow_sets t.subscriptions oi;
-  if oi >= t.max_observer then t.max_observer <- oi + 1;
   (* Word-parallel dedup: one [diff] finds the genuinely new targets
      (minus self), one [union] registers them, and only the already
      crashed ones are walked element-wise — in ascending order, so the
@@ -132,6 +130,7 @@ let[@lint.hot_path] [@lint.allow "hot-path-alloc"] monitor t ~observer ~targets 
   in
   if not (Node_set.is_empty fresh) then begin
     t.subscriptions.(oi) <- Node_set.union t.subscriptions.(oi) fresh;
+    t.observers <- Node_set.add observer t.observers;
     if not (Node_set.disjoint fresh t.crashed) then
       notify_crashed_fresh t ~observer fresh
   end
@@ -161,12 +160,13 @@ let inject_crash t target =
     (* Every currently subscribed pair registered while [target] was
        alive (it crashes only once), so the subscription rows minus the
        suspicion-consumed pairs are exactly the old inverse table. *)
-    for oi = 0 to t.max_observer - 1 do
-      if
-        Node_set.mem target t.subscriptions.(oi)
-        && (oi >= Array.length t.consumed
-           || not (Node_set.mem target t.consumed.(oi)))
-      then
-        schedule_notification t ~observer:(Node_id.of_int oi) ~target
-    done
+    Node_set.iter
+      (fun observer ->
+        let oi = Node_id.to_int observer in
+        if
+          Node_set.mem target t.subscriptions.(oi)
+          && (oi >= Array.length t.consumed
+             || not (Node_set.mem target t.consumed.(oi)))
+        then schedule_notification t ~observer ~target)
+      t.observers
   end

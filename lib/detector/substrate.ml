@@ -48,6 +48,9 @@ type 'a t = {
      thunk that crashes the conduit and the detector, so the geometry
      is updated at exactly the simulated instant the crash happens. *)
   geometry : Incr_geometry.t option;
+  (* Runs first in every crash-injection thunk, while the node is still
+     alive everywhere. *)
+  mutable crash_hook : Node_id.t -> unit;
 }
 
 let create ?(channel = Transport.Reliable) ?geometry ~seed ~message_latency
@@ -89,7 +92,7 @@ let create ?(channel = Transport.Reliable) ?geometry ~seed ~message_latency
       ?channel_floor ()
   in
   { engine; conduit; detector; obs; crash_seq = Hashtbl.create 16; batch = None;
-    geometry }
+    geometry; crash_hook = ignore }
 
 let dispatch_envelope t ~units ~src ~dst env =
   match t.conduit with
@@ -176,6 +179,8 @@ let on_crash_notification t handler =
       in
       Obs.Log.with_context t.obs seq (fun () -> handler ~observer ~crashed))
 
+let before_crash t handler = t.crash_hook <- handler
+
 let stats t =
   match t.conduit with
   | Direct network -> Network.stats network
@@ -196,6 +201,7 @@ let schedule_crashes t crashes =
     (fun (time, p) ->
       ignore
         (Engine.schedule_at t.engine ~time (fun () ->
+             t.crash_hook p;
              let seq =
                Obs.Log.record t.obs ~time:(Engine.now t.engine) ~node:p
                  Obs.Event.Crash
@@ -206,13 +212,6 @@ let schedule_crashes t crashes =
              Option.iter (fun g -> Incr_geometry.crash g p) t.geometry)))
     crashes
 
-let run ?(false_suspicions = []) ~max_events t =
-  List.iter
-    (fun (time, observer, target) ->
-      ignore
-        (Engine.schedule_at t.engine ~time (fun () ->
-             Failure_detector.inject_false_suspicion t.detector ~observer ~target)))
-    false_suspicions;
-  Engine.run ~max_events t.engine
+let run ~max_events t = Engine.run ~max_events t.engine
 
 let quiescent t = Engine.pending t.engine = 0

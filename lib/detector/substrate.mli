@@ -46,6 +46,7 @@ type 'a t = {
   crash_seq : (int, int) Hashtbl.t;
   mutable batch : 'a batch_cell list option;
   geometry : Cliffedge_graph.Incr_geometry.t option;
+  mutable crash_hook : Node_id.t -> unit;
 }
 
 val create :
@@ -97,6 +98,14 @@ val on_crash_notification :
     (no parent for injected false suspicions) and running the handler
     under that event's context. *)
 
+val before_crash : 'a t -> (Node_id.t -> unit) -> unit
+(** Installs a handler that runs first in each crash-injection thunk of
+    {!schedule_crashes}, before the [Crash] event is recorded and before
+    the conduit, the detector and the geometry learn of the crash: the
+    last instant at which the node and its neighbours can still act on
+    a world where it is alive.  The runner activates them here.  Default:
+    nothing. *)
+
 val stats : 'a t -> Cliffedge_net.Stats.t
 
 val stalled_channels : 'a t -> (Node_id.t * Node_id.t) list
@@ -104,18 +113,13 @@ val stalled_channels : 'a t -> (Node_id.t * Node_id.t) list
     [Direct] conduit. *)
 
 val schedule_crashes : 'a t -> (float * Node_id.t) list -> unit
-(** Schedules each fault injection: at its time a [Crash] event is
-    recorded, the node is crashed in the conduit (future deliveries
-    dropped, ARQ retransmission timers killed) and in the detector
-    (subscribers notified). *)
+(** Schedules each fault injection: at its time the {!before_crash}
+    handler runs, a [Crash] event is recorded, and the node is crashed
+    in the conduit (future deliveries dropped, ARQ retransmission timers
+    killed) and in the detector (subscribers notified). *)
 
-val run :
-  ?false_suspicions:(float * Node_id.t * Node_id.t) list ->
-  max_events:int ->
-  'a t ->
-  unit
-(** Optionally schedules false suspicions (assumption ablation), then
-    runs the engine to quiescence or the event cap. *)
+val run : max_events:int -> 'a t -> unit
+(** Runs the engine to quiescence or the event cap. *)
 
 val quiescent : 'a t -> bool
 (** No pending events remain. *)

@@ -29,7 +29,6 @@ let () =
       Test_codec.suite;
       Test_repair.suite;
       Test_timeline_csv.suite;
-      Test_dsu.suite;
       Test_membership.suite;
       Test_protocol_invariants.suite;
       Test_printers.suite;

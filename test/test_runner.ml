@@ -132,6 +132,39 @@ let test_early_stopping_agrees_with_base () =
   Alcotest.(check bool) "fewer or equal messages" true
     (Cliffedge_net.Stats.sent early.stats <= Cliffedge_net.Stats.sent base.stats)
 
+let test_activation_is_local () =
+  (* The same region crashed on a small and a large ring: the runs are
+     byte-identical, and only the region's neighbourhood and the nodes
+     that exchanged messages ever get a stepper. *)
+  let region = set [ 10; 11 ] in
+  let traced n =
+    let graph = Topology.ring n in
+    let cfg =
+      Cliffedge.Protocol.config ~graph ~propose_value:Scenario.default_propose ()
+    in
+    let makes = ref 0 in
+    let make p =
+      incr makes;
+      Runner.protocol_stepper cfg ~self:p
+    in
+    let outcome = Runner.run_stepper ~graph ~crashes:(crash_all 5.0 region) ~make () in
+    Alcotest.(check (list int)) "border decides" [ 9; 12 ]
+      (Node_set.to_ints (Runner.deciders outcome));
+    let jsonl = Cliffedge_obs.Export.jsonl (Cliffedge_obs.Log.to_list outcome.obs) in
+    let bound =
+      Node_set.cardinal (Graph.closed_neighbourhood graph region)
+      + Node_set.cardinal (Cliffedge_net.Stats.communicating_nodes outcome.stats)
+    in
+    (jsonl, !makes, bound)
+  in
+  let small, small_makes, bound = traced 64 in
+  let large, large_makes, _ = traced 4096 in
+  Alcotest.(check string) "byte-identical causal log" small large;
+  Alcotest.(check int) "same make count" small_makes large_makes;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d make(s) within the bound %d" small_makes bound)
+    true (small_makes <= bound)
+
 let suite =
   ( "runner",
     [
@@ -148,4 +181,5 @@ let suite =
       Alcotest.test_case "near-total failure" `Quick test_whole_graph_minus_one;
       Alcotest.test_case "early stopping equivalence" `Quick
         test_early_stopping_agrees_with_base;
+      Alcotest.test_case "activation is local" `Quick test_activation_is_local;
     ] )

@@ -1,23 +1,7 @@
-(* Tests for the trace recorder and the report library. *)
+(* Tests for the report library. *)
 
-module Trace = Cliffedge_sim.Trace
 module Summary = Cliffedge_report.Summary
 module Table = Cliffedge_report.Table
-
-let test_trace_roundtrip () =
-  let t = Trace.create () in
-  Trace.record t ~time:1.0 "a";
-  Trace.record t ~time:2.0 "b";
-  Alcotest.(check int) "length" 2 (Trace.length t);
-  Alcotest.(check (list string)) "events" [ "a"; "b" ] (Trace.events t);
-  let entries = Trace.to_list t in
-  Alcotest.(check (float 0.0)) "first time" 1.0 (List.hd entries).Trace.time
-
-let test_trace_filter_map () =
-  let t = Trace.create () in
-  List.iter (fun (time, e) -> Trace.record t ~time e) [ (1.0, 1); (2.0, 2); (3.0, 3) ];
-  let odd = Trace.filter_map (fun e -> if e.Trace.event mod 2 = 1 then Some e.Trace.event else None) t in
-  Alcotest.(check (list int)) "filtered" [ 1; 3 ] odd
 
 let test_summary_singleton () =
   let s = Summary.of_list [ 5.0 ] in
@@ -82,8 +66,6 @@ let test_table_row_mismatch () =
 let suite =
   ( "trace/report",
     [
-      Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
-      Alcotest.test_case "trace filter_map" `Quick test_trace_filter_map;
       Alcotest.test_case "summary singleton" `Quick test_summary_singleton;
       Alcotest.test_case "summary known values" `Quick test_summary_known_values;
       Alcotest.test_case "summary percentiles" `Quick test_summary_percentiles;

@@ -73,7 +73,6 @@ let allocator_pairs =
     ("Queue", "create");
     ("Stack", "create");
     ("Arena", "create");
-    ("Dsu", "create");
     ("Log", "create");
     ("Stats", "create");
     ("Prng", "create");
