@@ -56,7 +56,7 @@ let node_set_entry () =
   let c = Node_set.of_ints [ 200; 201 ] in
   let probe = Node_id.of_int 65 in
   {
-    name = "node_set queries (mem/subset/disjoint/equal/compare)";
+    name = "node_set queries (mem/subset/disjoint/equal/compare/hash)";
     budget = 0.0;
     thunk =
       (fun () ->
@@ -64,7 +64,28 @@ let node_set_entry () =
         ignore (Sys.opaque_identity (Node_set.subset b a));
         ignore (Sys.opaque_identity (Node_set.disjoint a c));
         ignore (Sys.opaque_identity (Node_set.equal a b));
-        ignore (Sys.opaque_identity (Node_set.compare a c)));
+        ignore (Sys.opaque_identity (Node_set.compare a c));
+        ignore (Sys.opaque_identity (Node_set.hash a)));
+  }
+
+(* lib/sim/engine.ml: one schedule and one step against a queue holding
+   64 pending events, so every push and pop sifts through the heap.
+   The sifts and the pop are certified [@lint.hot_path]; what remains is
+   the event itself, 7 words per event: the 4-field entry (5 words) and
+   its boxed time (2).  The action is built once, outside the loop. *)
+let engine_entry () =
+  let engine = Engine.create () in
+  let action () = () in
+  for i = 0 to 63 do
+    ignore (Engine.schedule engine ~delay:(float_of_int (i mod 7)) action)
+  done;
+  {
+    name = "engine: schedule + step";
+    budget = 7.0;
+    thunk =
+      (fun () ->
+        ignore (Engine.schedule engine ~delay:3.0 action);
+        ignore (Sys.opaque_identity (Engine.step engine)));
   }
 
 (* lib/core/opinion.ml merge: the no-change paths (already-known
@@ -171,6 +192,7 @@ let entries () =
     protocol_stale_entry ();
     detector_monitor_entry ();
     arena_cycle_entry ();
+    engine_entry ();
   ]
 
 (* Slack for the boxed floats of the two counter reads, amortised over

@@ -194,10 +194,14 @@ let geometry_cascade graph ~crashes =
   in
   (ms *. 1000.0 /. float_of_int crashes, Incr_geometry.resident_words incr)
 
-(* Best of five timings of a deterministic run: a single sub-ms sample
-   is at the mercy of whichever major GC slice lands in it (the X4 rows
-   follow flooding runs that leave a large heap behind). *)
+(* Best of five timings of a deterministic run, from a collected heap: a
+   single sub-ms sample is at the mercy of whichever major GC slice lands
+   in it, and the X4 rows follow flooding runs that leave a ~600 MB heap
+   behind.  Without the collection, which phase of that heap's major
+   cycle the five runs fell into moved the N=10^6 row between 0.4 and
+   3 ms across builds doing the same work. *)
 let best_time_ms f =
+  Gc.full_major ();
   let result, first = Json_out.time_ms f in
   let best = ref first in
   for _ = 2 to 5 do

@@ -10,7 +10,6 @@ module Message = Cliffedge.Message
 module Opinion = Cliffedge.Opinion
 module Fault_gen = Cliffedge_workload.Fault_gen
 module Prng = Cliffedge_prng.Prng
-module Heap = Cliffedge_sim.Heap
 module Engine = Cliffedge_sim.Engine
 module Table = Cliffedge_report.Table
 
@@ -26,6 +25,44 @@ let bench_border =
   Test.make ~name:"graph: border (5-node region, 16x16 torus)"
     (Staged.stage (fun () -> Graph.border torus region))
 
+(* The row above probes a memo holding one entry, so it cannot see how
+   long the hash chains are.  This one memoizes the borders of all 1 536
+   connected 3-node regions of a fresh torus (each a path u - v - w
+   around its unique middle node v) and times hits round-robin over them,
+   with an index counter and no allocation.  The table is built as the
+   benchmark's resource, not at module initialisation: kept live for the
+   whole run, it made the other rows' timings noisy (the prng row's r^2
+   fell from 0.99 to 0.2 or less). *)
+let bench_border_memo =
+  let allocate () =
+    let graph = Topology.torus 16 16 in
+    let regions =
+      Array.of_list
+        (List.concat_map
+           (fun v ->
+             let ns = Node_set.elements (Graph.neighbours graph v) in
+             List.concat_map
+               (fun u ->
+                 List.filter_map
+                   (fun w ->
+                     if Node_id.compare u w < 0 then
+                       Some (Node_set.of_list [ u; v; w ])
+                     else None)
+                   ns)
+               ns)
+           (Node_set.elements (Graph.nodes graph)))
+    in
+    Array.iter (fun r -> ignore (Graph.border graph r)) regions;
+    (graph, regions, ref 0)
+  in
+  Test.make_with_resource
+    ~name:"graph: border memo hit (1536 memoized 3-node regions, 16x16 torus)"
+    Test.uniq ~allocate ~free:ignore
+    (Staged.stage (fun (graph, regions, next) ->
+         let i = !next in
+         next := if i + 1 = Array.length regions then 0 else i + 1;
+         Graph.border graph (Array.unsafe_get regions i)))
+
 let bench_components =
   Test.make ~name:"graph: connected_components"
     (Staged.stage (fun () -> Graph.connected_components torus region))
@@ -34,16 +71,6 @@ let bench_ranking =
   let other = Node_set.of_ints [ 1; 2; 3; 17 ] in
   Test.make ~name:"ranking: compare"
     (Staged.stage (fun () -> Ranking.compare torus region other))
-
-let bench_heap =
-  Test.make ~name:"heap: 256 push + drain"
-    (Staged.stage (fun () ->
-         let h = Heap.create ~compare:Int.compare in
-         for i = 0 to 255 do
-           Heap.push h ((i * 7919) mod 509)
-         done;
-         let rec drain () = match Heap.pop h with None -> () | Some _ -> drain () in
-         drain ()))
 
 let bench_engine =
   Test.make ~name:"engine: schedule + run 256 events"
@@ -117,9 +144,9 @@ let tests =
   [
     bench_prng;
     bench_border;
+    bench_border_memo;
     bench_components;
     bench_ranking;
-    bench_heap;
     bench_engine;
     bench_protocol_step;
     bench_cliffedge_e2e;

@@ -448,14 +448,32 @@ let full n =
 
 let to_ints t = List.map Node_id.to_int (elements t)
 
-(* FNV-1a over the words; canonical form makes this a set fingerprint
-   (used by the graph layer to memoize border geometry). *)
-let hash t =
-  let h = ref 0xcbf29ce4 in
-  for i = 0 to Array.length t - 1 do
-    h := (!h lxor t.(i)) * 0x1000193
-  done;
-  !h land max_int
+(* Set fingerprint over the canonical words, keying the graph layer's
+   border/components memos.  [Hashtbl.Make] picks a bucket from the LOW
+   bits of the hash, and a multiply only carries bits upward, so a bare
+   multiplicative accumulation (FNV-1a style) leaves bucket choice to
+   ids 63w .. 63w+11 of each word and the memos chain hundreds deep.
+   Each non-zero word is therefore folded back down by a xor-shift,
+   then tagged with its index, before the next one enters;
+   the splitmix64 finalizer (its multipliers taken mod 2^63, which is all
+   a 63-bit product sees) spreads every bit of every word over the low
+   bits.  Zero words are skipped — the indices keep positions apart — so
+   a sparse set over a million ids costs one scan, not 16k multiplies.
+   Top-level recursion keeps the loop allocation-free. *)
+let[@lint.hot_path] rec hash_go t h i =
+  if Int.equal i (Array.length t) then h
+  else
+    let w = Array.unsafe_get t i in
+    if Int.equal w 0 then hash_go t h (i + 1)
+    else
+      let h = (h lxor w) * 0x3f58476d1ce4e5b9 in
+      hash_go t ((h lxor (h lsr 29)) + i) (i + 1)
+
+let[@lint.hot_path] hash t =
+  let h = hash_go t 0xcbf29ce4 0 in
+  let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  (h lxor (h lsr 31)) land max_int
 
 let pp ppf t =
   Format.fprintf ppf "{@[%a@]}"

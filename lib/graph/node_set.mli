@@ -20,8 +20,10 @@
 include Set.S with type elt = Node_id.t
 
 val hash : t -> int
-(** A fingerprint of the set contents (FNV-1a over the canonical words);
-    equal sets hash equally.  Used to key memoized border geometry. *)
+(** A fingerprint of the set contents; equal sets hash equally.  Every
+    bit of every word reaches the low bits that [Hashtbl.Make] buckets
+    on, so a memo lookup is one probe.  Used to key memoized border and
+    component geometry.  Allocation-free. *)
 
 val of_ints : int list -> t
 (** [of_ints is] builds a set from raw integer identifiers. *)

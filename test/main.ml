@@ -4,7 +4,6 @@ let () =
   Alcotest.run "cliffedge"
     [
       Test_prng.suite;
-      Test_heap.suite;
       Test_engine.suite;
       Test_trace_report.suite;
       Test_node_modules.suite;

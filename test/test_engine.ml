@@ -62,6 +62,21 @@ let test_cancel_idempotent () =
   Engine.cancel e h;
   Alcotest.(check int) "pending not negative" 0 (Engine.pending e)
 
+(* Regression: [step] never marked the entry it fired, so cancelling a
+   fired event decremented the live count a second time and [pending]
+   under-counted (0 here while the late event was still queued, -1 after
+   the drain). *)
+let test_cancel_after_fire () =
+  let e = Engine.create () in
+  let early = Engine.schedule e ~delay:1.0 ignore in
+  ignore (Engine.schedule e ~delay:10.0 ignore);
+  Engine.run ~until:5.0 e;
+  Engine.cancel e early;
+  Alcotest.(check int) "late event still pending" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check int) "drained" 0 (Engine.pending e);
+  Alcotest.(check int) "both fired" 2 (Engine.events_processed e)
+
 let test_run_until () =
   let e = Engine.create () in
   let log = ref [] in
@@ -138,6 +153,85 @@ let test_self_perpetuating_chain () =
   Alcotest.(check int) "chain length" 100 !n;
   Alcotest.(check (float 1e-6)) "chain duration" 100.0 (Engine.now e)
 
+(* Model-based order check.  Each scheduled event may, when it fires,
+   schedule a child and cancel an arbitrary earlier event (pending,
+   already fired, or itself); delays are drawn from a handful of values
+   so equal times are common.  Events must fire in (time, seq) order,
+   cancelled ones never, and [pending] must equal the model's live count
+   after every step and inside every action. *)
+type plan = { delay : int; child : int option; victim : int option }
+
+let gen_plan =
+  QCheck2.Gen.(
+    map3
+      (fun delay child victim -> { delay; child; victim })
+      (int_range 0 4)
+      (opt ~ratio:0.4 (int_range 0 4))
+      (opt ~ratio:0.3 (int_range 0 1000)))
+
+type model = {
+  time : float;
+  seq : int;
+  handle : Engine.handle;
+  mutable state : [ `Pending | `Fired | `Cancelled ];
+}
+
+let prop_fires_in_order =
+  QCheck2.Test.make ~name:"fires in (time, seq) order" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 60) gen_plan)
+    (fun plans ->
+      let e = Engine.create () in
+      let events = ref [||] and fired = ref [] in
+      let live () =
+        Array.fold_left
+          (fun n m -> if m.state = `Pending then n + 1 else n)
+          0 !events
+      in
+      let check_pending where =
+        if Engine.pending e <> live () then
+          QCheck2.Test.fail_reportf "%s: pending %d, model %d" where
+            (Engine.pending e) (live ())
+      in
+      let rec schedule delay child victim =
+        let seq = Array.length !events in
+        let time = Engine.now e +. float_of_int delay in
+        let action () =
+          let m = !events.(seq) in
+          if m.state <> `Pending then
+            QCheck2.Test.fail_reportf "event %d fired while not pending" seq;
+          m.state <- `Fired;
+          fired := (time, seq) :: !fired;
+          Option.iter (fun d -> schedule d None None) child;
+          Option.iter
+            (fun v ->
+              let m = !events.(v mod Array.length !events) in
+              Engine.cancel e m.handle;
+              if m.state = `Pending then m.state <- `Cancelled)
+            victim;
+          check_pending "inside an action"
+        in
+        let handle = Engine.schedule e ~delay:(float_of_int delay) action in
+        events := Array.append !events [| { time; seq; handle; state = `Pending } |]
+      in
+      List.iter (fun p -> schedule p.delay p.child p.victim) plans;
+      check_pending "after scheduling";
+      while Engine.step e do
+        check_pending "after a step"
+      done;
+      let order = List.rev !fired in
+      let rec sorted = function
+        | (t1, s1) :: ((t2, s2) :: _ as rest) ->
+            (t1 < t2 || (t1 = t2 && s1 < s2)) && sorted rest
+        | _ -> true
+      in
+      if not (sorted order) then QCheck2.Test.fail_report "fired out of (time, seq) order";
+      Array.iter
+        (fun m ->
+          if m.state = `Pending then
+            QCheck2.Test.fail_reportf "event %d never fired" m.seq)
+        !events;
+      true)
+
 let suite =
   ( "engine",
     [
@@ -148,6 +242,7 @@ let suite =
       Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
       Alcotest.test_case "cancel" `Quick test_cancel;
       Alcotest.test_case "cancel idempotent" `Quick test_cancel_idempotent;
+      Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire;
       Alcotest.test_case "run until" `Quick test_run_until;
       Alcotest.test_case "max events" `Quick test_max_events;
       Alcotest.test_case "events processed" `Quick test_events_processed;
@@ -155,4 +250,5 @@ let suite =
       Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;
       Alcotest.test_case "nan time rejected" `Quick test_nan_time_rejected;
       Alcotest.test_case "event chain" `Quick test_self_perpetuating_chain;
+      QCheck_alcotest.to_alcotest prop_fires_in_order;
     ] )

@@ -221,6 +221,60 @@ let test_border_cache_not_shared_across_derived_graphs () =
     "original graph unchanged" [ 0; 2 ]
     (Node_set.to_ints (Graph.border g region))
 
+(* ------------------------------------------------------------------ *)
+(* Hash spread                                                         *)
+
+(* [Hashtbl.Make] buckets on [hash s land (b - 1)], so the memos only
+   answer in one probe if those low bits see every member.  The three
+   input families are the shapes the memos are keyed on; a random
+   function spreads n keys over [b (1 - (1 - 1/b)^n)] buckets on
+   average, and the fingerprint must reach at least 75% of that (a bare
+   multiplicative FNV-1a accumulation reaches 20%, 20% and 12%). *)
+let buckets_used sets b =
+  let seen = Hashtbl.create b in
+  List.iter (fun s -> Hashtbl.replace seen (Node_set.hash s land (b - 1)) ()) sets;
+  Hashtbl.length seen
+
+let check_spread label sets b =
+  let n = float_of_int (List.length sets) and fb = float_of_int b in
+  let random = fb *. (1.0 -. ((1.0 -. (1.0 /. fb)) ** n)) in
+  let used = buckets_used sets b in
+  if float_of_int used < 0.75 *. random then
+    Alcotest.failf "%s: %d keys use %d of %d buckets (a random function: %.0f)"
+      label (List.length sets) used b random
+
+let torus16 = Topology.torus 16 16
+
+(* Every connected 3-node region of the 16x16 torus is a path u - v - w
+   with a unique middle node (the torus has no triangles): 256 middles
+   times C(4, 2) neighbour pairs. *)
+let connected_triples g =
+  List.concat_map
+    (fun v ->
+      let ns = Node_set.elements (Graph.neighbours g v) in
+      List.concat_map
+        (fun u ->
+          List.filter_map
+            (fun w ->
+              if Node_id.compare u w < 0 then Some (Node_set.of_list [ u; v; w ])
+              else None)
+            ns)
+        ns)
+    (Node_set.elements (Graph.nodes g))
+
+let test_hash_spread () =
+  check_spread "singletons {0}..{1023}"
+    (List.init 1024 (fun i -> Node_set.of_ints [ i ]))
+    1024;
+  let edges =
+    List.map (fun (u, v) -> Node_set.of_list [ u; v ]) (Graph.edges torus16)
+  in
+  Alcotest.(check int) "torus edges" 512 (List.length edges);
+  check_spread "16x16 torus edges" edges 1024;
+  let triples = connected_triples torus16 in
+  Alcotest.(check int) "connected 3-node regions" 1536 (List.length triples);
+  check_spread "16x16 torus connected 3-node regions" triples 4096
+
 let suite =
   ( "node-set bitset",
     [
@@ -231,4 +285,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_border_memo;
       Alcotest.test_case "border cache is per-graph" `Quick
         test_border_cache_not_shared_across_derived_graphs;
+      Alcotest.test_case "hash spreads over low bits" `Quick test_hash_spread;
     ] )
