@@ -149,25 +149,20 @@ let build_workload ~spec ~seed ~region_size ~cascade =
   in
   (graph, crashes, final_region)
 
+(* Node ids named on the command line must be nodes of the topology. *)
+let node_of_graph graph i =
+  if i >= 0 && Graph.mem_node (Node_id.of_int i) graph then Node_id.of_int i
+  else begin
+    Format.eprintf "node n%d is not in the topology@." i;
+    exit 2
+  end
+
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
 
-let verbose_arg =
-  Arg.(
-    value & flag
-    & info [ "v"; "verbose" ]
-        ~doc:"Log every protocol step (proposals, rejections, rounds) to stderr.")
-
-let setup_logs verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.Src.set_level Runner.log_src (Some Logs.Debug)
-  end
-
 let run_cmd =
   let action spec seed region_size cascade no_early raw_fd msg_latency fd_latency
-      faults transport timeline verbose =
-    setup_logs verbose;
+      faults transport timeline =
     let graph, crashes, _ = build_workload ~spec ~seed ~region_size ~cascade in
     let scenario =
       Scenario.make
@@ -180,20 +175,23 @@ let run_cmd =
     Format.printf "%a@." Scenario.pp_result (scenario, outcome, report);
     if timeline then
       Format.printf "@.%a"
-        (Cliffedge.Timeline.pp ~names:scenario.Scenario.names)
-        (Cliffedge.Timeline.of_outcome ~value_to_string:Fun.id outcome);
+        (Cliffedge.Timeline.pp ~names:scenario.Scenario.names ~value_to_string:Fun.id)
+        outcome;
     if Checker.ok report then 0 else 1
   in
   let timeline_arg =
     Arg.(
       value & flag
-      & info [ "timeline" ] ~doc:"Print the full chronological event narrative.")
+      & info [ "timeline" ]
+          ~doc:
+            "Print the chronological narrative of crashes and protocol steps, \
+             read from the causal log (see $(b,trace) for every event).")
   in
   let term =
     Term.(
       const action $ topology_arg $ seed_arg $ region_size_arg $ cascade_arg
       $ no_early_arg $ raw_fd_arg $ msg_latency_arg $ fd_latency_arg $ faults_arg
-      $ transport_arg $ timeline_arg $ verbose_arg)
+      $ transport_arg $ timeline_arg)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one cliff-edge agreement and verify CD1-CD7.")
@@ -290,6 +288,20 @@ let dot_cmd =
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
 
+(* "3.4" -> {n3, n4}: an instance key is the dot-separated decimal ids
+   of nodes of [graph]. *)
+let view_of_key graph key =
+  let node s =
+    match int_of_string_opt s with
+    | Some i when String.for_all (function '0' .. '9' -> true | _ -> false) s ->
+        node_of_graph graph i
+    | Some _ | None ->
+        Format.eprintf "bad instance %S (expected dot-separated node ids, e.g. 5.6)@."
+          key;
+        exit 2
+  in
+  Node_set.of_list (List.map node (String.split_on_char '.' key))
+
 let trace_cmd =
   let action spec seed region_size cascade no_early raw_fd msg_latency fd_latency
       faults transport format nodes kinds instance metrics =
@@ -302,6 +314,8 @@ let trace_cmd =
         end)
       kinds;
     let graph, crashes, _ = build_workload ~spec ~seed ~region_size ~cascade in
+    let nodes = List.map (node_of_graph graph) nodes in
+    let instance = Option.map (view_of_key graph) instance in
     let outcome =
       Runner.run
         ~options:
@@ -311,17 +325,15 @@ let trace_cmd =
     let keep e =
       (match nodes with
       | [] -> true
-      | ns -> List.exists (Int.equal (Node_id.to_int e.Obs.Event.node)) ns)
+      | ns -> List.exists (Node_id.equal e.Obs.Event.node) ns)
       && (match kinds with
          | [] -> true
          | ks -> List.exists (String.equal (Obs.Event.kind_name e.Obs.Event.kind)) ks)
       &&
-      match instance with
-      | None -> true
-      | Some key -> (
-          match e.Obs.Event.instance with
-          | Some i -> String.equal i key
-          | None -> false)
+      match (instance, e.Obs.Event.instance) with
+      | None, _ -> true
+      | Some view, Some v -> Node_set.equal view v
+      | Some _, None -> false
     in
     let events = List.filter keep (Obs.Log.to_list outcome.Runner.obs) in
     (match format with
@@ -367,8 +379,9 @@ let trace_cmd =
       & opt (some string) None
       & info [ "instance" ] ~docv:"KEY"
           ~doc:
-            "Keep only events of this consensus instance (the proposed view's \
-             fingerprint, e.g. 3.4 for view {n3, n4}).")
+            "Keep only events of this consensus instance: the proposed view's \
+             node ids joined with dots, e.g. 3.4 for view {n3, n4}.  The view \
+             is a set, so 4.3 selects the same events.")
   in
   let metrics_arg =
     Arg.(
@@ -399,14 +412,7 @@ let mcheck_cmd =
   let action spec crash_ids raw_fd no_early max_states max_drops max_dups =
     let rng = Prng.create 0 in
     let graph = Topology.build rng spec in
-    let crashes = List.map Node_id.of_int crash_ids in
-    List.iter
-      (fun p ->
-        if not (Graph.mem_node p graph) then begin
-          Format.eprintf "node %a is not in the topology@." Node_id.pp p;
-          exit 2
-        end)
-      crashes;
+    let crashes = List.map (node_of_graph graph) crash_ids in
     let fd = if raw_fd then `Raw else `Channel_consistent in
     let channel =
       if max_drops = 0 && max_dups = 0 then `Reliable_fifo

@@ -9,10 +9,6 @@ module Failure_detector = Cliffedge_detector.Failure_detector
 module Substrate = Cliffedge_detector.Substrate
 module Obs = Cliffedge_obs
 
-let log_src = Logs.Src.create "cliffedge.runner" ~doc:"Cliff-edge protocol runs"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type 'v decision = {
   node : Node_id.t;
   view : View.t;
@@ -48,7 +44,6 @@ type 'v outcome = {
   graph : Graph.t;
   crashes : (float * Node_id.t) list;
   decisions : 'v decision list;
-  notes : (float * Node_id.t * Protocol.note) list;
   stats : Stats.t;
   crashed : Node_set.t;
   duration : float;
@@ -87,6 +82,20 @@ let protocol_stepper cfg ~self =
     decision = (fun () -> Protocol.decided !cell);
   }
 
+(* Only the ARQ gives up on a channel, and each give-up is one [Stall]
+   event of the sender. *)
+let stalled_channels obs =
+  let stalled = ref [] in
+  Obs.Log.iter obs (fun e ->
+      match e.Obs.Event.kind with
+      | Obs.Event.Stall { dst } -> stalled := (e.Obs.Event.node, dst) :: !stalled
+      | _ -> ());
+  List.sort_uniq
+    (fun (s1, d1) (s2, d2) ->
+      let c = Node_id.compare s1 s2 in
+      if c <> 0 then c else Node_id.compare d1 d2)
+    !stalled
+
 let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
   List.iter
     (fun (_, p) ->
@@ -110,37 +119,37 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
      neighbourhood only. *)
   let steppers = ref [||] in
   let decisions = ref [] in
-  let notes = ref [] in
   (* Seq of the last round-chain event ([Propose]/[Round]/...) each node
      recorded per consensus instance, so the chain
      propose -> round -> ... -> decide threads within an instance even
-     when deliveries of other instances interleave. *)
-  (* Keyed by [Node_id.pair_key instance-id node-id] — one immediate
-     int, so lookups hash a word instead of allocating a tuple and
-     re-hashing the instance's label string on every chain event, and
-     node ids past 2^20 cannot alias another instance's slot. *)
+     when deliveries of other instances interleave.  Instances get a
+     dense id through a view-keyed table, and a (node, instance) slot is
+     one immediate [Node_id.pair_key]. *)
+  let instance_ids : int Node_set.Tbl.t = Node_set.Tbl.create 16 in
   let instance_last : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let chain_slot p kid = Node_id.pair_key (Node_id.of_int kid) p in
-  let chain_parent p kid =
-    match Hashtbl.find_opt instance_last (chain_slot p kid) with
+  let chain_slot p view =
+    let id =
+      match Node_set.Tbl.find_opt instance_ids view with
+      | Some id -> id
+      | None ->
+          let id = Node_set.Tbl.length instance_ids in
+          Node_set.Tbl.add instance_ids view id;
+          id
+    in
+    Node_id.pair_key (Node_id.of_int id) p
+  in
+  let chain_parent slot =
+    match Hashtbl.find_opt instance_last slot with
     | Some _ as parent -> parent
     | None -> Obs.Log.context obs
   in
-  (* Memoized instance labels (with a dense id per instance for
-     [chain_slot]): a run touches a handful of views but labels events
-     for them constantly. *)
-  let instance_keys = ref [] in
-  let instance_key v =
-    match List.find_opt (fun (w, _, _) -> Node_set.equal v w) !instance_keys with
-    | Some (_, key, id) -> (key, id)
-    | None ->
-        let key = Obs.Event.instance_of_view v in
-        let id = List.length !instance_keys in
-        instance_keys := (v, key, id) :: !instance_keys;
-        (key, id)
+  let observe ?parent p view kind =
+    Obs.Log.record obs ~time:(Engine.now engine) ~node:p ~instance:view ?parent kind
   in
-  let observe ?instance ?parent p kind =
-    Obs.Log.record obs ~time:(Engine.now engine) ~node:p ?instance ?parent kind
+  (* Records a round-chain event and makes it the chain's new tip. *)
+  let extend_chain p view kind =
+    let slot = chain_slot p view in
+    Hashtbl.replace instance_last slot (observe ?parent:(chain_parent slot) p view kind)
   in
   (* Whether a step's actions include a [Send] at all: the batching
      scope only affects message envelopes, so pure local steps (Init's
@@ -157,63 +166,23 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
     | Protocol.Send { dst; msg } ->
         Substrate.send substrate ~units:(Message.units msg) ~src:p ~dst msg
     | Protocol.Decide { view; value } ->
-        Log.debug (fun m ->
-            m "t=%.2f %a decides on %a" (Engine.now engine) Node_id.pp p View.pp view);
-        let key, kid = instance_key view in
         let seq =
-          observe ~instance:key ?parent:(chain_parent p kid) p Obs.Event.Decide
+          observe ?parent:(chain_parent (chain_slot p view)) p view Obs.Event.Decide
         in
         decisions :=
           { node = p; view; value; time = Engine.now engine; event = Some seq }
           :: !decisions
-    | Protocol.Note note ->
-        Log.debug (fun m ->
-            m "t=%.2f %a %s" (Engine.now engine) Node_id.pp p
-              (match note with
-              | Protocol.Proposed v -> Format.asprintf "proposes %a" View.pp v
-              | Protocol.Rejected_view v -> Format.asprintf "rejects %a" View.pp v
-              | Protocol.Attempt_failed v ->
-                  Format.asprintf "abandons attempt on %a" View.pp v
-              | Protocol.Advanced_round { view; round } ->
-                  Format.asprintf "enters round %d of %a" round View.pp view
-              | Protocol.Early_outcome { view; success } ->
-                  Format.asprintf "broadcasts %s outcome for %a"
-                    (if success then "successful" else "failed")
-                    View.pp view));
-        (match note with
-        | Protocol.Proposed v ->
-            let key, kid = instance_key v in
-            let seq =
-              observe ~instance:key ?parent:(Obs.Log.context obs) p
-                Obs.Event.Propose
-            in
-            Hashtbl.replace instance_last (chain_slot p kid) seq
-        | Protocol.Rejected_view v ->
-            let key, _ = instance_key v in
-            ignore
-              (observe ~instance:key ?parent:(Obs.Log.context obs) p
-                 Obs.Event.Reject)
-        | Protocol.Attempt_failed v ->
-            let key, kid = instance_key v in
-            let seq =
-              observe ~instance:key ?parent:(chain_parent p kid) p Obs.Event.Abort
-            in
-            Hashtbl.replace instance_last (chain_slot p kid) seq
-        | Protocol.Advanced_round { view; round } ->
-            let key, kid = instance_key view in
-            let seq =
-              observe ~instance:key ?parent:(chain_parent p kid) p
-                (Obs.Event.Round { round })
-            in
-            Hashtbl.replace instance_last (chain_slot p kid) seq
-        | Protocol.Early_outcome { view; success } ->
-            let key, kid = instance_key view in
-            let seq =
-              observe ~instance:key ?parent:(chain_parent p kid) p
-                (Obs.Event.Early_outcome { success })
-            in
-            Hashtbl.replace instance_last (chain_slot p kid) seq);
-        notes := (Engine.now engine, p, note) :: !notes
+    | Protocol.Note (Protocol.Proposed view) ->
+        Hashtbl.replace instance_last (chain_slot p view)
+          (observe ?parent:(Obs.Log.context obs) p view Obs.Event.Propose)
+    | Protocol.Note (Protocol.Rejected_view view) ->
+        ignore (observe ?parent:(Obs.Log.context obs) p view Obs.Event.Reject)
+    | Protocol.Note (Protocol.Attempt_failed view) ->
+        extend_chain p view Obs.Event.Abort
+    | Protocol.Note (Protocol.Advanced_round { view; round }) ->
+        extend_chain p view (Obs.Event.Round { round })
+    | Protocol.Note (Protocol.Early_outcome { view; success }) ->
+        extend_chain p view (Obs.Event.Early_outcome { success })
   and step p stepper event =
     match stepper.step event with
     | [] -> ()
@@ -292,13 +261,15 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
               (Option.value ~default:0 a.event)
               (Option.value ~default:0 b.event))
         !decisions;
-    notes = List.rev !notes;
     stats = Substrate.stats substrate;
     crashed = Failure_detector.crashed_nodes detector;
     duration = Engine.now engine;
     engine_events = Engine.events_processed engine;
     quiescent = Engine.pending engine = 0;
-    stalled_channels = Substrate.stalled_channels substrate;
+    stalled_channels =
+      (match options.channel with
+      | Transport.Arq_over_faulty _ -> stalled_channels obs
+      | Transport.Reliable | Transport.Raw_faulty _ -> []);
     states;
     obs;
     geometry = Some (Incr_geometry.snapshot geom_tracker);
@@ -324,21 +295,21 @@ let decided_views outcome =
     [] outcome.decisions
   |> List.rev
 
+let fold_log outcome f init =
+  let acc = ref init in
+  Obs.Log.iter outcome.obs (fun e -> acc := f !acc e.Obs.Event.kind);
+  !acc
+
 let restart_count outcome =
-  List.length
-    (List.filter
-       (fun (_, _, note) ->
-         match note with Protocol.Attempt_failed _ -> true | _ -> false)
-       outcome.notes)
+  fold_log outcome (fun n -> function Obs.Event.Abort -> n + 1 | _ -> n) 0
 
 let max_round outcome =
-  List.fold_left
-    (fun acc (_, _, note) ->
-      match note with
-      | Protocol.Advanced_round { round; _ } -> Int.max acc round
-      | Protocol.Proposed _ -> Int.max acc 1
+  fold_log outcome
+    (fun acc -> function
+      | Obs.Event.Round { round } -> Int.max acc round
+      | Obs.Event.Propose -> Int.max acc 1
       | _ -> acc)
-    0 outcome.notes
+    0
 
 let pp_outcome pp_value ppf outcome =
   Format.fprintf ppf "@[<v>run: %d crash(es), %d decision(s), %a, t=%.1f%s@,"

@@ -15,14 +15,15 @@
     the outcome: [Init] only subscribes a node to its neighbours, and a
     node with a crashed neighbour was activated by that crash, so a
     late [Init] draws no latency and schedules no event — every trace
-    is byte-identical to booting every node at time 0. *)
+    is byte-identical to booting every node at time 0.
+
+    The outcome's causal log ([obs]) is the run's only record of the
+    protocol's breadcrumbs (proposals, rejections, rounds, aborts, early
+    outcomes, decisions) and of ARQ stalls: [stalled_channels],
+    {!restart_count}, {!max_round} and {!Timeline.pp} are folds over
+    it. *)
 
 open Cliffedge_graph
-
-val log_src : Logs.src
-(** [Logs] source ("cliffedge.runner") emitting one debug line per
-    protocol note and decision; silent unless the application installs a
-    reporter and raises the level (the CLI's [--verbose] does). *)
 
 type 'v decision = {
   node : Node_id.t;
@@ -70,9 +71,8 @@ val default_options : options
 type 'v outcome = {
   graph : Graph.t;
   crashes : (float * Node_id.t) list;  (** the injected schedule *)
-  decisions : 'v decision list;  (** in decision-time order *)
-  notes : (float * Node_id.t * Protocol.note) list;
-      (** instrumentation breadcrumbs, chronological *)
+  decisions : 'v decision list;
+      (** in decision-time order, ties broken by [Decide] event seq *)
   stats : Cliffedge_net.Stats.t;  (** message accounting *)
   crashed : Node_set.t;  (** ground truth: nodes that crashed *)
   duration : float;  (** virtual time when the run went quiescent *)
@@ -80,16 +80,18 @@ type 'v outcome = {
   quiescent : bool;  (** [false] when the event cap interrupted the run *)
   stalled_channels : (Node_id.t * Node_id.t) list;
       (** ARQ channels that exhausted their retries (permanent
-          partition); empty on reliable and raw channels *)
+          partition), sorted, folded from the log's [Stall] events;
+          empty on reliable and raw channels *)
   states : (Node_id.t * 'v Protocol.state) list;
       (** final state of every activated node, crashed ones included,
           in ascending id order; nodes the run never contacted are
           absent (their state is still {!Protocol.init}) *)
   obs : Cliffedge_obs.Log.t;
-      (** the causal event log of the run: crashes, suspicions, sends,
-          deliveries, ARQ retransmissions and protocol breadcrumbs,
-          causally linked (see {!Cliffedge_obs.Event}); feed it to
-          {!Cliffedge_obs.Metrics.of_log} or the
+      (** the causal event log of the run, and its only record of the
+          crashes that happened, suspicions, sends, deliveries, ARQ
+          retransmissions and stalls, and protocol breadcrumbs, causally
+          linked (see {!Cliffedge_obs.Event}); feed it to
+          {!Cliffedge_obs.Metrics.of_log}, {!Timeline.pp} or the
           {!Cliffedge_obs.Export} family *)
   geometry : Fault_geometry.t option;
       (** final fault geometry, maintained incrementally during the run
@@ -153,12 +155,13 @@ val decided_views : 'v outcome -> View.t list
 (** Distinct decided views. *)
 
 val restart_count : 'v outcome -> int
-(** Number of failed consensus attempts across all nodes
-    ({!Protocol.Attempt_failed} notes), the re-proposal metric of
-    experiment X6. *)
+(** Number of failed consensus attempts across all nodes (the log's
+    [Abort] events), the re-proposal metric of experiment X6. *)
 
 val max_round : 'v outcome -> int
-(** Highest round reached by any instance during the run. *)
+(** Highest round reached by any instance during the run: the largest
+    [Round] of the log, or 1 if it holds a [Propose] but no [Round];
+    0 when nothing was proposed. *)
 
 val pp_outcome :
   (Format.formatter -> 'v -> unit) -> Format.formatter -> 'v outcome -> unit

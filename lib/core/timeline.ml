@@ -1,65 +1,36 @@
 open Cliffedge_graph
+module Obs = Cliffedge_obs
 
-type event =
-  | Crashed
-  | Proposed of View.t
-  | Rejected of View.t
-  | Failed of View.t
-  | Round of View.t * int
-  | Outcome_broadcast of View.t * bool
-  | Decided of View.t * string
-
-type entry = { time : float; node : Node_id.t; event : event }
-
-let of_outcome ~value_to_string (outcome : 'v Runner.outcome) =
-  let crashes =
-    List.map (fun (time, node) -> { time; node; event = Crashed }) outcome.crashes
-  in
-  let notes =
-    List.map
-      (fun (time, node, note) ->
-        let event =
-          match note with
-          | Protocol.Proposed v -> Proposed v
-          | Protocol.Rejected_view v -> Rejected v
-          | Protocol.Attempt_failed v -> Failed v
-          | Protocol.Advanced_round { view; round } -> Round (view, round)
-          | Protocol.Early_outcome { view; success } -> Outcome_broadcast (view, success)
-        in
-        { time; node; event })
-      outcome.notes
-  in
-  let decisions =
-    List.map
-      (fun (d : 'v Runner.decision) ->
-        { time = d.time; node = d.node; event = Decided (d.view, value_to_string d.value) })
-      outcome.decisions
-  in
-  (* Stable sort keeps injection order among simultaneous events. *)
-  List.stable_sort
-    (fun a b -> Float.compare a.time b.time)
-    (crashes @ notes @ decisions)
-
-let pp ?(names = Node_id.Names.empty) ppf entries =
-  let pp_node = Node_id.Names.pp names in
+let pp ?(names = Node_id.Names.empty) ~value_to_string ppf (outcome : 'v Runner.outcome) =
   let pp_view = Node_set.pp_named names in
-  List.iter
-    (fun { time; node; event } ->
-      Format.fprintf ppf "t=%9.2f  %-10s " time
-        (Format.asprintf "%a" pp_node node);
-      (match event with
-      | Crashed -> Format.fprintf ppf "CRASHES"
-      | Proposed v -> Format.fprintf ppf "proposes %a" pp_view v
-      | Rejected v -> Format.fprintf ppf "rejects %a" pp_view v
-      | Failed v -> Format.fprintf ppf "abandons attempt on %a" pp_view v
-      | Round (v, r) -> Format.fprintf ppf "enters round %d of %a" r pp_view v
-      | Outcome_broadcast (v, success) ->
-          Format.fprintf ppf "broadcasts %s outcome for %a"
+  (* [decisions] is sorted by (time, [Decide] seq), i.e. in log order,
+     so each [Decide] event's decision is the next one in the list. *)
+  let pending = ref outcome.decisions in
+  let decided () =
+    match !pending with
+    | (d : 'v Runner.decision) :: rest ->
+        pending := rest;
+        value_to_string d.value
+    | [] -> invalid_arg "Timeline.pp: a Decide event has no decision in the outcome"
+  in
+  Obs.Log.iter outcome.obs (fun e ->
+      let line fmt =
+        Format.fprintf ppf "t=%9.2f  %-10s " e.Obs.Event.time
+          (Format.asprintf "%a" (Node_id.Names.pp names) e.Obs.Event.node);
+        Format.kfprintf (fun ppf -> Format.fprintf ppf "@.") ppf fmt
+      in
+      match (e.Obs.Event.kind, e.Obs.Event.instance) with
+      | Obs.Event.Crash, _ -> line "CRASHES"
+      | Obs.Event.Propose, Some v -> line "proposes %a" pp_view v
+      | Obs.Event.Reject, Some v -> line "rejects %a" pp_view v
+      | Obs.Event.Abort, Some v -> line "abandons attempt on %a" pp_view v
+      | Obs.Event.Round { round }, Some v -> line "enters round %d of %a" round pp_view v
+      | Obs.Event.Early_outcome { success }, Some v ->
+          line "broadcasts %s outcome for %a"
             (if success then "successful" else "failed")
             pp_view v
-      | Decided (v, d) -> Format.fprintf ppf "DECIDES %S on %a" d pp_view v);
-      Format.fprintf ppf "@.")
-    entries
+      | Obs.Event.Decide, Some v -> line "DECIDES %S on %a" (decided ()) pp_view v
+      | _ -> ())
 
 let decision_latency (outcome : 'v Runner.outcome) =
   let crash_time p =

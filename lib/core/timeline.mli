@@ -1,30 +1,26 @@
-(** Chronological narrative of a run.
+(** Chronological narrative of a run, rendered from its causal log.
 
-    Merges the crash schedule, the protocol's instrumentation notes and
-    the decisions of an outcome into one time-ordered event list, and
-    renders it as a readable log — the quickest way to understand why a
+    One line per [Crash] event and per protocol breadcrumb (proposal,
+    rejection, abort, round advance, early outcome, decision) of the
+    outcome's log, in log order — the quickest way to understand why a
     particular schedule produced a particular set of decisions (it is
-    how the CD5 anomaly of DESIGN.md §7 was first diagnosed). *)
+    how the CD5 anomaly of DESIGN.md §7 was first diagnosed).  Only
+    crashes that happened appear: a run stopped by its event cap does
+    not narrate the rest of its schedule. *)
 
 open Cliffedge_graph
 
-type event =
-  | Crashed  (** fault injection *)
-  | Proposed of View.t
-  | Rejected of View.t
-  | Failed of View.t
-  | Round of View.t * int
-  | Outcome_broadcast of View.t * bool
-  | Decided of View.t * string
-
-type entry = { time : float; node : Node_id.t; event : event }
-
-val of_outcome : value_to_string:('v -> string) -> 'v Runner.outcome -> entry list
-(** All events of a run in time order (ties keep injection order). *)
-
 val pp :
-  ?names:Node_id.Names.t -> Format.formatter -> entry list -> unit
-(** One line per entry: [t=<time> <node> <event>]. *)
+  ?names:Node_id.Names.t ->
+  value_to_string:('v -> string) ->
+  Format.formatter ->
+  'v Runner.outcome ->
+  unit
+(** One line per event: [t=<time> <node> <event>].  Each [DECIDES]
+    line carries the value of the decision whose [event] is that
+    [Decide].
+    @raise Invalid_argument if the log holds more [Decide] events than
+    the outcome has decisions. *)
 
 val decision_latency : 'v Runner.outcome -> (View.t * float) list
 (** For each decided view, the delay between the last crash of the view

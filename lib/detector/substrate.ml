@@ -186,11 +186,6 @@ let stats t =
   | Direct network -> Network.stats network
   | Arq transport -> Transport.stats transport
 
-let stalled_channels t =
-  match t.conduit with
-  | Direct _ -> []
-  | Arq transport -> Transport.stalled_channels transport
-
 let crash_node t p =
   match t.conduit with
   | Direct network -> Network.crash network p

@@ -108,10 +108,6 @@ val before_crash : 'a t -> (Node_id.t -> unit) -> unit
 
 val stats : 'a t -> Cliffedge_net.Stats.t
 
-val stalled_channels : 'a t -> (Node_id.t * Node_id.t) list
-(** ARQ channels that gave up (permanent partition); always empty on a
-    [Direct] conduit. *)
-
 val schedule_crashes : 'a t -> (float * Node_id.t) list -> unit
 (** Schedules each fault injection: at its time the {!before_crash}
     handler runs, a [Crash] event is recorded, and the node is crashed

@@ -1,11 +1,3 @@
-module Set_tbl = Hashtbl.Make (struct
-  type t = Node_set.t
-
-  let equal = Node_set.equal
-
-  let hash = Node_set.hash
-end)
-
 module Int_tbl = Hashtbl.Make (struct
   type t = int
 
@@ -84,7 +76,7 @@ module Clock (H : Hashtbl.S) = struct
   let resident t = t.resident
 end
 
-module Set_cache = Clock (Set_tbl)
+module Set_cache = Clock (Node_set.Tbl)
 module Int_cache = Clock (Int_tbl)
 
 (* Per-memo residency budget: 2^15 words (256 KiB of payload) holds the

@@ -475,6 +475,14 @@ let[@lint.hot_path] hash t =
   let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
   (h lxor (h lsr 31)) land max_int
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  let hash = hash
+end)
+
 let pp ppf t =
   Format.fprintf ppf "{@[%a@]}"
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") Node_id.pp)

@@ -25,6 +25,10 @@ val hash : t -> int
     on, so a memo lookup is one probe.  Used to key memoized border and
     component geometry.  Allocation-free. *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by set contents, through {!equal} and {!hash}:
+    the geometry memos, and every table keyed by a proposed view. *)
+
 val of_ints : int list -> t
 (** [of_ints is] builds a set from raw integer identifiers. *)
 

@@ -57,15 +57,12 @@ type 'a t = {
   policy : policy;
   senders : (int * int, 'a sender) Hashtbl.t;
   receivers : (int * int, 'a receiver) Hashtbl.t;
-  mutable stalls : (int * int) list;
   mutable deliver : (src:Node_id.t -> dst:Node_id.t -> 'a -> unit) option;
-  obs : Obs.Log.t option;
+  obs : Obs.Log.t;
 }
 
 let observe t ~node kind =
-  match t.obs with
-  | Some log -> ignore (Obs.Log.record log ~time:(Engine.now t.engine) ~node kind)
-  | None -> ()
+  ignore (Obs.Log.record t.obs ~time:(Engine.now t.engine) ~node kind)
 
 let sender t key =
   match Hashtbl.find_opt t.senders key with
@@ -106,7 +103,7 @@ let cancel_timer t s =
    transport, is the component that reports crashes).  Only a live pair
    that keeps losing frames, i.e. a partition, exhausts [max_retries]
    and marks the channel stalled. *)
-let rec on_timeout t ~src ~dst key s =
+let rec on_timeout t ~src ~dst s =
   s.timer <- None;
   match s.unacked with
   | [] -> ()
@@ -116,7 +113,6 @@ let rec on_timeout t ~src ~dst key s =
       else if s.retries >= t.policy.max_retries then begin
         s.stalled <- true;
         s.unacked <- [];
-        t.stalls <- key :: t.stalls;
         observe t ~node:src (Obs.Event.Stall { dst })
       end
       else begin
@@ -130,14 +126,14 @@ let rec on_timeout t ~src ~dst key s =
           s.unacked;
         s.retries <- s.retries + 1;
         s.cur_rto <- Float.min t.policy.rto_cap (s.cur_rto *. t.policy.backoff);
-        arm_timer t ~src ~dst key s
+        arm_timer t ~src ~dst s
       end
 
-and arm_timer t ~src ~dst key s =
+and arm_timer t ~src ~dst s =
   s.timer <-
     Some
       (Engine.schedule t.engine ~delay:s.cur_rto (fun () ->
-           on_timeout t ~src ~dst key s))
+           on_timeout t ~src ~dst s))
 
 let deliver_up t ~src ~dst payload =
   match t.deliver with
@@ -186,10 +182,10 @@ let on_ack t ~src ~dst ~cum =
         cancel_timer t s;
         match s.unacked with
         | [] -> ()
-        | _ :: _ -> arm_timer t ~src:dst ~dst:src key s
+        | _ :: _ -> arm_timer t ~src:dst ~dst:src s
       end
 
-let create ?(policy = default_policy) ?obs ~engine ~network () =
+let create ?(policy = default_policy) ~obs ~engine ~network () =
   let t =
     {
       engine;
@@ -197,7 +193,6 @@ let create ?(policy = default_policy) ?obs ~engine ~network () =
       policy;
       senders = Hashtbl.create 64;
       receivers = Hashtbl.create 64;
-      stalls = [];
       deliver = None;
       obs;
     }
@@ -220,7 +215,7 @@ let send t ?(units = 1) ~src ~dst payload =
       s.unacked <- s.unacked @ [ (seq, units, payload) ];
       Network.send t.net ~units ~src ~dst (Data { seq; payload });
       match s.timer with
-      | None -> arm_timer t ~src ~dst key s
+      | None -> arm_timer t ~src ~dst s
       | Some _ -> ()
     end
   end
@@ -252,13 +247,5 @@ let flush_time t ~src ~dst =
          channels whose sender already crashed (see Substrate). *)
       infinity
   | Some _ | None -> base
-
-let stalled_channels t =
-  List.sort_uniq
-    (fun (s1, d1) (s2, d2) ->
-      let c = Int.compare s1 s2 in
-      if c <> 0 then c else Int.compare d1 d2)
-    t.stalls
-  |> List.map (fun (s, d) -> (Node_id.of_int s, Node_id.of_int d))
 
 let stats t = Network.stats t.net

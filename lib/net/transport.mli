@@ -19,7 +19,7 @@
 
     Under a {e permanent} partition no retry count is safe; after
     [max_retries] consecutive fruitless timeouts the sender gives up on
-    that ordered channel and surfaces it through {!stalled_channels}
+    that ordered channel and records a [Stall] event in the causal log
     rather than looping forever — the paper's liveness properties are
     conditional on channels eventually delivering, and a stall is the
     diagnostic that this precondition was violated. *)
@@ -63,17 +63,17 @@ type 'a t
 
 val create :
   ?policy:policy ->
-  ?obs:Cliffedge_obs.Log.t ->
+  obs:Cliffedge_obs.Log.t ->
   engine:Cliffedge_sim.Engine.t ->
   network:'a frame Network.t ->
   unit ->
   'a t
 (** Wraps [network], installing its delivery handler (the transport
     owns the network's [on_deliver] slot).  Retransmission timers are
-    scheduled on [engine], which must be the network's engine.  When
-    [obs] is given, every go-back-N window retransmission records a
-    [Retransmit] event and every channel give-up a [Stall] event
-    there. *)
+    scheduled on [engine], which must be the network's engine.  Every
+    go-back-N window retransmission records a [Retransmit] event in
+    [obs], and every channel give-up a [Stall] event: the log is the
+    only record of which channels stalled. *)
 
 val on_deliver : 'a t -> (src:Node_id.t -> dst:Node_id.t -> 'a -> unit) -> unit
 (** Installs the upward delivery handler.  Per ordered pair, payloads
@@ -100,12 +100,6 @@ val flush_time : 'a t -> src:Node_id.t -> dst:Node_id.t -> float
     collapses to the underlying {!Network.flush_time}: no retransmit
     can occur, and buffered out-of-order frames only release at an
     underlying delivery event, which that floor already bounds. *)
-
-val stalled_channels : 'a t -> (Node_id.t * Node_id.t) list
-(** Ordered channels whose sender exhausted [max_retries] (e.g. under a
-    permanent partition), sorted; empty when the ARQ kept every
-    channel live.  Both runner outcomes and the CLI surface this
-    diagnostic. *)
 
 val stats : 'a t -> Stats.t
 (** The underlying network's counters; retransmissions and dedups are

@@ -18,7 +18,7 @@ type t = {
   seq : int;
   time : float;
   node : Node_id.t;
-  instance : string option;
+  instance : Node_set.t option;
   parent : int option;
   kind : kind;
 }
@@ -58,10 +58,8 @@ let category = function
   | Crash | Suspect _ -> "fd"
   | Propose | Reject | Round _ | Abort | Early_outcome _ | Decide -> "protocol"
 
-(* One buffer pass, no intermediate list: this runs on every
-   proposal/round/decision note of every simulated run, so it is on the
-   instrumentation's hot path (the trace-overhead budget in
-   EXPERIMENTS.md). *)
+(* One buffer pass, no intermediate list.  Runs only when an event is
+   rendered (pp, the exporters, the CLI), never while a run records. *)
 let instance_of_view view =
   let b = Buffer.create 16 in
   Node_set.iter
@@ -94,7 +92,7 @@ let pp ppf t =
   Format.fprintf ppf "#%-4d t=%12.6f  %a  %a" t.seq t.time Node_id.pp t.node pp_kind
     t.kind;
   (match t.instance with
-  | Some key -> Format.fprintf ppf "  [%s]" key
+  | Some view -> Format.fprintf ppf "  [%s]" (instance_of_view view)
   | None -> ());
   match t.parent with
   | Some p -> Format.fprintf ppf "  <- #%d" p

@@ -5,8 +5,8 @@
     stalls, and the protocol-level breadcrumbs (proposal, round
     advance, rejection, abort, early outcome, decision).  Every event
     carries a monotone sequence id, the acting node, an optional
-    consensus-instance key (the proposed view's fingerprint) and an
-    optional causal parent:
+    consensus instance (the proposed view itself) and an optional
+    causal parent:
 
     - [Send.parent] is the event that triggered the send (the delivery
       or suspicion being handled);
@@ -45,8 +45,10 @@ type t = {
   seq : int;  (** monotone id, dense from 0, unique within a run *)
   time : float;  (** virtual engine time *)
   node : Node_id.t;  (** the acting node *)
-  instance : string option;
-      (** consensus-instance key (see {!instance_of_view}) *)
+  instance : Node_set.t option;
+      (** the consensus instance: the view proposed, rejected or decided
+          on; rendered as its {!instance_of_view} label only on
+          output *)
   parent : int option;  (** causal parent's [seq]; always [< seq] *)
   kind : kind;
 }
@@ -62,9 +64,10 @@ val category : kind -> string
     [protocol]. *)
 
 val instance_of_view : Node_set.t -> string
-(** Canonical fingerprint of a proposed view: member ids joined with
-    ['.'] in increasing order (e.g. ["3.4"]), shell-safe for
-    [cliffedge trace --instance]. *)
+(** Label of a proposed view: member ids joined with ['.'] in
+    increasing order (e.g. ["3.4"]), shell-safe for
+    [cliffedge trace --instance].  Built by the renderers ({!pp},
+    {!Export}), never while a run records. *)
 
 val pp_kind : Format.formatter -> kind -> unit
 

@@ -41,7 +41,8 @@ let[@lint.cold] jsonl events =
         (Node_id.to_int e.Event.node)
         (Event.kind_name e.Event.kind);
       (match e.Event.instance with
-      | Some key -> Printf.bprintf buffer ",\"instance\":%S" key
+      | Some view ->
+          Printf.bprintf buffer ",\"instance\":%S" (Event.instance_of_view view)
       | None -> ());
       (match e.Event.parent with
       | Some p -> Printf.bprintf buffer ",\"parent\":%d" p
@@ -90,7 +91,7 @@ let[@lint.cold] chrome events =
         [
           [ ("seq", Json.Int e.Event.seq) ];
           (match e.Event.instance with
-          | Some key -> [ ("instance", Json.String key) ]
+          | Some view -> [ ("instance", Json.String (Event.instance_of_view view)) ]
           | None -> []);
           (match e.Event.parent with
           | Some p -> [ ("parent", Json.Int p) ]

@@ -22,7 +22,7 @@ val record :
   t ->
   time:float ->
   node:Node_id.t ->
-  ?instance:string ->
+  ?instance:Node_set.t ->
   ?parent:int ->
   Event.kind ->
   int

@@ -13,7 +13,7 @@ type t = {
    - decide latency: first [Propose] time per instance, closed by each
      [Decide] of that instance;
    - round latency: last round-chain event ([Propose] or [Round]) per
-     (node, instance), advanced by the next [Round];
+     instance and node, advanced by the next [Round];
    - retransmit delay: last [Send] time per (src, dst) channel, read by
      [Retransmit] on the same channel;
    - FD lag: the [Suspect] -> [Crash] causal edge, resolved through the
@@ -29,8 +29,16 @@ let of_log log =
       fd_lag = Hist.create ();
     }
   in
-  let proposed : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  let round_chain : (int * string, float) Hashtbl.t = Hashtbl.create 16 in
+  let proposed : float Node_set.Tbl.t = Node_set.Tbl.create 16 in
+  let round_chain : (int, float) Hashtbl.t Node_set.Tbl.t = Node_set.Tbl.create 16 in
+  let chain view =
+    match Node_set.Tbl.find_opt round_chain view with
+    | Some nodes -> nodes
+    | None ->
+        let nodes = Hashtbl.create 8 in
+        Node_set.Tbl.replace round_chain view nodes;
+        nodes
+  in
   let last_send : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
   Log.iter log (fun e ->
       let node = Node_id.to_int e.Event.node in
@@ -38,23 +46,24 @@ let of_log log =
       | Event.Propose -> (
           match e.Event.instance with
           | None -> ()
-          | Some key ->
-              if not (Hashtbl.mem proposed key) then
-                Hashtbl.replace proposed key e.Event.time;
-              Hashtbl.replace round_chain (node, key) e.Event.time)
+          | Some view ->
+              if not (Node_set.Tbl.mem proposed view) then
+                Node_set.Tbl.replace proposed view e.Event.time;
+              Hashtbl.replace (chain view) node e.Event.time)
       | Event.Round _ -> (
           match e.Event.instance with
           | None -> ()
-          | Some key ->
-              (match Hashtbl.find_opt round_chain (node, key) with
+          | Some view ->
+              let nodes = chain view in
+              (match Hashtbl.find_opt nodes node with
               | Some prev -> Hist.add t.round_latency (e.Event.time -. prev)
               | None -> ());
-              Hashtbl.replace round_chain (node, key) e.Event.time)
+              Hashtbl.replace nodes node e.Event.time)
       | Event.Decide -> (
           match e.Event.instance with
           | None -> ()
-          | Some key -> (
-              match Hashtbl.find_opt proposed key with
+          | Some view -> (
+              match Node_set.Tbl.find_opt proposed view with
               | Some start -> Hist.add t.decide_latency (e.Event.time -. start)
               | None -> ()))
       | Event.Send { dst; _ } ->

@@ -34,7 +34,6 @@ let make_outcome ?(decisions = base_decisions) ?(quiescent = true)
     Runner.graph;
     crashes;
     decisions;
-    notes = [];
     stats;
     crashed;
     duration = 30.0;

@@ -112,7 +112,7 @@ let test_hist_json () =
 
 let test_metrics_from_handmade_log () =
   let log = Obs.Log.create () in
-  let inst = "3.4" in
+  let inst = Node_set.of_ints [ 3; 4 ] in
   (* fd: crash at 10, causally-derived suspicion at 14 -> lag 4 *)
   let c = Obs.Log.record log ~time:10.0 ~node:(n 3) Obs.Event.Crash in
   ignore

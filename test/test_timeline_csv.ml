@@ -5,6 +5,9 @@ module Timeline = Cliffedge.Timeline
 module Runner = Cliffedge.Runner
 module Scenario = Cliffedge.Scenario
 module Csv = Cliffedge_report.Csv
+module Prng = Cliffedge_prng.Prng
+module Fault_gen = Cliffedge_workload.Fault_gen
+module Obs = Cliffedge_obs
 
 let run_ring () =
   let graph = Topology.ring 10 in
@@ -12,36 +15,113 @@ let run_ring () =
   let crashes = List.map (fun p -> (10.0, p)) (Node_set.elements region) in
   Runner.run ~graph ~crashes ~propose_value:Scenario.default_propose ()
 
+(* The rendered narrative, one (time, node, event) triple per line. *)
+let narrative outcome =
+  Format.asprintf "%a" (Timeline.pp ?names:None ~value_to_string:Fun.id) outcome
+  |> String.split_on_char '\n'
+  |> List.filter (fun line -> line <> "")
+  |> List.map (fun line ->
+         Scanf.sscanf line "t= %f %s %[^\n]" (fun time node event -> (time, node, event)))
+
+let starts_with prefix (_, _, event) = String.starts_with ~prefix event
+
 let test_timeline_ordered_and_complete () =
-  let outcome = run_ring () in
-  let entries = Timeline.of_outcome ~value_to_string:Fun.id outcome in
+  let lines = narrative (run_ring ()) in
   (* Time-ordered. *)
-  let times = List.map (fun (e : Timeline.entry) -> e.time) entries in
+  let times = List.map (fun (time, _, _) -> time) lines in
   Alcotest.(check bool) "sorted" true (times = List.sort Float.compare times);
   (* Crashes, proposals and decisions all appear. *)
-  let count p = List.length (List.filter p entries) in
-  Alcotest.(check int) "crashes" 2
-    (count (fun e -> e.Timeline.event = Timeline.Crashed));
-  Alcotest.(check bool) "has proposals" true
-    (count (fun e -> match e.Timeline.event with Timeline.Proposed _ -> true | _ -> false)
-     > 0);
-  Alcotest.(check int) "decisions" 2
-    (count (fun e ->
-         match e.Timeline.event with Timeline.Decided _ -> true | _ -> false))
+  let count p = List.length (List.filter p lines) in
+  Alcotest.(check int) "crashes" 2 (count (starts_with "CRASHES"));
+  Alcotest.(check bool) "has proposals" true (count (starts_with "proposes") > 0);
+  Alcotest.(check int) "decisions" 2 (count (starts_with "DECIDES"))
 
 let test_timeline_pp_mentions_nodes () =
-  let outcome = run_ring () in
-  let entries = Timeline.of_outcome ~value_to_string:Fun.id outcome in
-  let s = Format.asprintf "%a" (Timeline.pp ?names:None) entries in
-  Alcotest.(check bool) "mentions CRASH" true
-    (let sub = "CRASHES" in
-     let len = String.length sub in
-     let rec scan i =
-       if i + len > String.length s then false
-       else if String.sub s i len = sub then true
-       else scan (i + 1)
-     in
-     scan 0)
+  let crashed =
+    List.filter_map
+      (fun ((_, node, _) as line) -> if starts_with "CRASHES" line then Some node else None)
+      (narrative (run_ring ()))
+  in
+  Alcotest.(check (list string)) "mentions CRASH" [ "n3"; "n4" ] crashed
+
+(* A run cut short by its event cap narrates only what happened: n7's
+   crash at t=5000 is scheduled but never reached. *)
+let test_timeline_stops_with_the_run () =
+  let graph = Topology.ring 10 in
+  let crashes =
+    [ (10.0, Node_id.of_int 3); (10.0, Node_id.of_int 4); (5000.0, Node_id.of_int 7) ]
+  in
+  let options = { Runner.default_options with max_events = 8 } in
+  let outcome =
+    Runner.run ~options ~graph ~crashes ~propose_value:Scenario.default_propose ()
+  in
+  Alcotest.(check bool) "cut short" false outcome.quiescent;
+  let lines = narrative outcome in
+  Alcotest.(check bool) "nothing after the stop" true
+    (List.for_all (fun (time, _, _) -> time <= outcome.duration) lines);
+  Alcotest.(check int) "only the crashes that happened" 2
+    (List.length (List.filter (starts_with "CRASHES") lines))
+
+let protocol_verb = function
+  | Obs.Event.Crash -> Some "CRASHES"
+  | Obs.Event.Propose -> Some "proposes"
+  | Obs.Event.Reject -> Some "rejects"
+  | Obs.Event.Abort -> Some "abandons attempt"
+  | Obs.Event.Round { round } -> Some (Printf.sprintf "enters round %d" round)
+  | Obs.Event.Early_outcome _ -> Some "broadcasts"
+  | Obs.Event.Decide -> Some "DECIDES"
+  | Obs.Event.Suspect _ | Obs.Event.Send _ | Obs.Event.Deliver _
+  | Obs.Event.Retransmit _ | Obs.Event.Stall _ ->
+      None
+
+(* A cascade on a torus: stale proposals are rejected and abandoned, a
+   border crash mid-agreement forces extra rounds, and early stopping
+   broadcasts outcomes. *)
+let test_timeline_is_the_log () =
+  let graph = Topology.torus 5 5 in
+  let rng = Prng.create 0 in
+  let region = Fault_gen.connected_region rng graph ~size:2 in
+  let crashes, _ =
+    Fault_gen.cascade rng graph ~seed_region:region ~depth:2 ~start:10.0 ~interval:30.0
+  in
+  let outcome =
+    Runner.run ~graph ~crashes ~propose_value:Scenario.default_propose ()
+  in
+  let events =
+    List.filter_map
+      (fun e -> Option.map (fun verb -> (e, verb)) (protocol_verb e.Obs.Event.kind))
+      (Obs.Log.to_list outcome.obs)
+  in
+  List.iter
+    (fun kind ->
+      if
+        not
+          (List.exists
+             (fun (e, _) -> String.equal (Obs.Event.kind_name e.Obs.Event.kind) kind)
+             events)
+      then Alcotest.failf "the scenario records no %s event" kind)
+    [ "propose"; "reject"; "round"; "abort"; "early-outcome"; "decide" ];
+  let lines = narrative outcome in
+  Alcotest.(check int) "one line per crash or protocol event" (List.length events)
+    (List.length lines);
+  List.iter2
+    (fun (e, verb) ((time, node, event) as line) ->
+      Alcotest.(check string) "time" (Printf.sprintf "%.2f" e.Obs.Event.time)
+        (Printf.sprintf "%.2f" time);
+      Alcotest.(check string) "node" (Node_id.to_string e.Obs.Event.node) node;
+      if not (starts_with verb line) then
+        Alcotest.failf "event #%d: expected %S, got %S" e.Obs.Event.seq verb event;
+      if String.equal verb "DECIDES" then
+        match
+          List.find_opt
+            (fun (d : string Runner.decision) -> d.event = Some e.Obs.Event.seq)
+            outcome.decisions
+        with
+        | Some d ->
+            Alcotest.(check string) "decided value" d.value
+              (Scanf.sscanf event "DECIDES %S" Fun.id)
+        | None -> Alcotest.failf "event #%d has no decision" e.Obs.Event.seq)
+    events lines
 
 let test_decision_latency_positive () =
   let outcome = run_ring () in
@@ -88,6 +168,9 @@ let suite =
     [
       Alcotest.test_case "timeline ordered" `Quick test_timeline_ordered_and_complete;
       Alcotest.test_case "timeline pp" `Quick test_timeline_pp_mentions_nodes;
+      Alcotest.test_case "timeline stops with the run" `Quick
+        test_timeline_stops_with_the_run;
+      Alcotest.test_case "timeline is the log" `Quick test_timeline_is_the_log;
       Alcotest.test_case "decision latency" `Quick test_decision_latency_positive;
       Alcotest.test_case "csv render" `Quick test_csv_render;
       Alcotest.test_case "csv escaping" `Quick test_csv_escaping;
