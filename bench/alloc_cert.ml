@@ -10,9 +10,9 @@
    closes it, and the per-entry numbers flow into the BENCH_PR*.json
    `alloc_cert` section where `bench compare` ratchets them PR-on-PR.
 
-   Budgets are exact small-word counts (a result tuple is 3 words, a
-   warm pool cycle is its list cells), with 1/16 word of slack for the
-   counter reads themselves; they are NOT noise-scaled thresholds —
+   Budgets are exact small-word counts (a result tuple is 3 words, an
+   engine event its entry and boxed time), with 1/16 word of slack for
+   the counter reads themselves; they are NOT noise-scaled thresholds —
    an extra allocation on any of these paths is a bug, not a drift. *)
 
 open Cliffedge_graph
@@ -166,32 +166,12 @@ let detector_monitor_entry () =
     thunk = (fun () -> Failure_detector.monitor fd ~observer ~targets);
   }
 
-(* lib/graph/arena.ml checkout/release: the warm-pool cycle reuses the
-   pooled buffer; what remains is the pool's list cells and the builder
-   handle, bounded by the exemption comment at 8 words per cycle. *)
-let arena_cycle_entry () =
-  let arena = Arena.create () in
-  (* Prime the pool so the measured cycles never grow a fresh buffer. *)
-  let b = Arena.checkout arena ~capacity:64 in
-  Arena.release arena b;
-  let probe = Node_id.of_int 3 in
-  {
-    name = "arena checkout/release (warm pool)";
-    budget = 8.0;
-    thunk =
-      (fun () ->
-        let b = Arena.checkout arena ~capacity:64 in
-        Arena.add b probe;
-        Arena.release arena b);
-  }
-
 let entries () =
   [
     node_set_entry ();
     opinion_merge_entry ();
     protocol_stale_entry ();
     detector_monitor_entry ();
-    arena_cycle_entry ();
     engine_entry ();
   ]
 

@@ -454,6 +454,7 @@ let x7 () =
       ("ba:40:2", Topology.Barabasi_albert (40, 2));
     ]
   in
+  let total_bad = ref 0 in
   List.iter
     (fun (label, spec) ->
       let runs = ref 0 and decisions = ref 0 and restarts = ref 0 and bad = ref 0 in
@@ -499,6 +500,7 @@ let x7 () =
               bad := !bad + violations report)
             shapes)
         (List.init 25 Fun.id);
+      total_bad := !total_bad + !bad;
       Table.add_row t
         [
           label;
@@ -508,7 +510,13 @@ let x7 () =
           cell "%d" !bad;
         ])
     topo_specs;
-  Table.print t
+  Table.print t;
+  (* The matrix claims zero violations (EXPERIMENTS.md X7): any non-zero
+     cell fails the command, so running it is a gate. *)
+  if !total_bad > 0 then begin
+    Printf.eprintf "bench: x7: %d CD1-CD7 violation(s) in the matrix\n" !total_bad;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* X8: footnote-6 ablation — early termination on/off                  *)

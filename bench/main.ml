@@ -317,7 +317,10 @@ let compare_files ~threshold ~alloc_threshold ~json baseline candidate =
   in
   (* The alloc_cert section (per-hot-path-entry Gc.minor_words deltas
      from `bench alloc`) ratchets like the micro allocation counters
-     when both files carry it; pre-PR8 baselines simply skip it. *)
+     when both files carry it; baselines that predate the section
+     simply skip it, and a baseline row the candidate lacks is noted
+     like a missing micro row, so a deleted or renamed exemption leaves
+     a trace. *)
   let alloc_cert root =
     match Json.member "alloc_cert" root with
     | Some (Json.Obj fields) -> fields
@@ -328,6 +331,7 @@ let compare_files ~threshold ~alloc_threshold ~json baseline candidate =
   let new_micro = micro candidate new_root in
   let regressions = ref [] in
   let compared = ref 0 and skipped = ref 0 and alloc_missing = ref 0 in
+  let alloc_skipped = ref 0 in
   let entries = ref [] in
   let check ~name ~metric ~pct ~slack old_v new_v =
     incr compared;
@@ -399,7 +403,7 @@ let compare_files ~threshold ~alloc_threshold ~json baseline candidate =
   List.iter
     (fun (name, old_entry) ->
       match List.assoc_opt name (alloc_cert new_root) with
-      | None -> ()
+      | None -> incr alloc_skipped
       | Some new_entry -> (
           match
             ( get_number "minor_words_per_op" old_entry,
@@ -418,6 +422,9 @@ let compare_files ~threshold ~alloc_threshold ~json baseline candidate =
   if !skipped > 0 then
     Printf.printf "  (%d baseline benchmark(s) absent from %s: skipped)\n"
       !skipped candidate;
+  if !alloc_skipped > 0 then
+    Printf.printf "  (%d baseline alloc_cert row(s) absent from %s: skipped)\n"
+      !alloc_skipped candidate;
   let failed = !regressions <> [] in
   Option.iter
     (fun file ->

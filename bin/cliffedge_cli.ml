@@ -137,17 +137,25 @@ let options ~seed ~no_early ~raw_fd ~msg_latency ~fd_latency ~faults ~transport 
     detection_latency = fd_latency;
   }
 
-let build_workload ~spec ~seed ~region_size ~cascade =
+(* A region size the topology cannot hold is an error against [option]
+   (exit 124 through [Term.term_result], like a malformed spec), with
+   the bound [Fault_gen.check_size] states. *)
+let build_workload ~option ~spec ~seed ~region_size ~cascade =
   let rng = Prng.create seed in
   let graph = Topology.build rng spec in
-  let region = Fault_gen.connected_region rng graph ~size:region_size in
-  let crashes, final_region =
-    if cascade > 0 then
-      Fault_gen.cascade rng graph ~seed_region:region ~depth:cascade ~start:10.0
-        ~interval:30.0
-    else (Fault_gen.crash_at 10.0 region, region)
-  in
-  (graph, crashes, final_region)
+  match Fault_gen.check_size graph ~size:region_size with
+  | Error e -> Error (`Msg (Printf.sprintf "option '%s': %s" option e))
+  | Ok () ->
+      let region = Fault_gen.connected_region rng graph ~size:region_size in
+      let crashes, final_region =
+        if cascade > 0 then
+          Fault_gen.cascade rng graph ~seed_region:region ~depth:cascade
+            ~start:10.0 ~interval:30.0
+        else (Fault_gen.crash_at 10.0 region, region)
+      in
+      Ok (graph, crashes, final_region)
+
+let ( let+ ) r f = Result.map f r
 
 (* Node ids named on the command line must be nodes of the topology. *)
 let node_of_graph graph i =
@@ -163,7 +171,9 @@ let node_of_graph graph i =
 let run_cmd =
   let action spec seed region_size cascade no_early raw_fd msg_latency fd_latency
       faults transport timeline =
-    let graph, crashes, _ = build_workload ~spec ~seed ~region_size ~cascade in
+    let+ graph, crashes, _ =
+      build_workload ~option:"--region-size" ~spec ~seed ~region_size ~cascade
+    in
     let scenario =
       Scenario.make
         ~options:
@@ -189,9 +199,10 @@ let run_cmd =
   in
   let term =
     Term.(
-      const action $ topology_arg $ seed_arg $ region_size_arg $ cascade_arg
-      $ no_early_arg $ raw_fd_arg $ msg_latency_arg $ fd_latency_arg $ faults_arg
-      $ transport_arg $ timeline_arg)
+      term_result ~usage:true
+        (const action $ topology_arg $ seed_arg $ region_size_arg $ cascade_arg
+        $ no_early_arg $ raw_fd_arg $ msg_latency_arg $ fd_latency_arg
+        $ faults_arg $ transport_arg $ timeline_arg))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one cliff-edge agreement and verify CD1-CD7.")
@@ -236,26 +247,30 @@ let sweep_cmd =
         ~title:(Format.asprintf "region-size sweep on %a" Topology.pp_spec spec)
         ~columns:[ "k"; "border"; "rounds"; "msgs"; "units"; "t"; "ok" ]
     in
-    List.iter
-      (fun k ->
-        let graph, crashes, region =
-          build_workload ~spec ~seed ~region_size:k ~cascade:0
-        in
-        let outcome =
-          Runner.run ~graph ~crashes ~propose_value:Scenario.default_propose ()
-        in
-        let report = Checker.check ~value_equal:String.equal outcome in
-        Table.add_row table
-          [
-            Table.cell "%d" k;
-            Table.cell "%d" (Node_set.cardinal (Graph.border graph region));
-            Table.cell "%d" (Runner.max_round outcome);
-            Table.cell "%d" (Cliffedge_net.Stats.sent outcome.stats);
-            Table.cell "%d" (Cliffedge_net.Stats.units_sent outcome.stats);
-            Table.cell "%.0f" outcome.duration;
-            Table.cell "%b" (Checker.ok report);
-          ])
-      sizes;
+    let rec rows = function
+      | [] -> Ok ()
+      | k :: ks ->
+          Result.bind
+            (build_workload ~option:"--sizes" ~spec ~seed ~region_size:k
+               ~cascade:0) (fun (graph, crashes, region) ->
+              let outcome =
+                Runner.run ~graph ~crashes
+                  ~propose_value:Scenario.default_propose ()
+              in
+              let report = Checker.check ~value_equal:String.equal outcome in
+              Table.add_row table
+                [
+                  Table.cell "%d" k;
+                  Table.cell "%d" (Node_set.cardinal (Graph.border graph region));
+                  Table.cell "%d" (Runner.max_round outcome);
+                  Table.cell "%d" (Cliffedge_net.Stats.sent outcome.stats);
+                  Table.cell "%d" (Cliffedge_net.Stats.units_sent outcome.stats);
+                  Table.cell "%.0f" outcome.duration;
+                  Table.cell "%b" (Checker.ok report);
+                ];
+              rows ks)
+    in
+    let+ () = rows sizes in
     Table.print table;
     0
   in
@@ -267,14 +282,16 @@ let sweep_cmd =
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep the crashed-region size and tabulate costs.")
-    Term.(const action $ topology_arg $ seed_arg $ sizes_arg)
+    Term.(term_result ~usage:true (const action $ topology_arg $ seed_arg $ sizes_arg))
 
 (* ------------------------------------------------------------------ *)
 (* dot                                                                 *)
 
 let dot_cmd =
   let action spec seed region_size =
-    let graph, _, region = build_workload ~spec ~seed ~region_size ~cascade:0 in
+    let+ graph, _, region =
+      build_workload ~option:"--region-size" ~spec ~seed ~region_size ~cascade:0
+    in
     let style =
       { Dot.default_style with crashed = region; border = Graph.border graph region }
     in
@@ -283,7 +300,7 @@ let dot_cmd =
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit Graphviz source with the fault pattern highlighted.")
-    Term.(const action $ topology_arg $ seed_arg $ region_size_arg)
+    Term.(term_result ~usage:true (const action $ topology_arg $ seed_arg $ region_size_arg))
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
@@ -313,7 +330,9 @@ let trace_cmd =
           exit 2
         end)
       kinds;
-    let graph, crashes, _ = build_workload ~spec ~seed ~region_size ~cascade in
+    let+ graph, crashes, _ =
+      build_workload ~option:"--region-size" ~spec ~seed ~region_size ~cascade
+    in
     let nodes = List.map (node_of_graph graph) nodes in
     let instance = Option.map (view_of_key graph) instance in
     let outcome =
@@ -393,10 +412,11 @@ let trace_cmd =
   in
   let term =
     Term.(
-      const action $ topology_arg $ seed_arg $ region_size_arg $ cascade_arg
-      $ no_early_arg $ raw_fd_arg $ msg_latency_arg $ fd_latency_arg $ faults_arg
-      $ transport_arg $ format_arg $ nodes_arg $ kinds_arg $ instance_arg
-      $ metrics_arg)
+      term_result ~usage:true
+        (const action $ topology_arg $ seed_arg $ region_size_arg $ cascade_arg
+        $ no_early_arg $ raw_fd_arg $ msg_latency_arg $ fd_latency_arg
+        $ faults_arg $ transport_arg $ format_arg $ nodes_arg $ kinds_arg
+        $ instance_arg $ metrics_arg))
   in
   Cmd.v
     (Cmd.info "trace"

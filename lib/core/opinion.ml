@@ -157,13 +157,6 @@ module Vector = struct
       f t.ks.(i) t.vs.(i)
     done
 
-  let iter_rejectors t f =
-    for i = 0 to Array.length t.ks - 1 do
-      match t.vs.(i) with
-      | Reject -> f t.ks.(i)
-      | Accept _ -> ()
-    done
-
   (* Specialised to a set argument (rather than a predicate closure) so
      the delivery fast path allocates nothing while deciding whether an
      excusal rebuild is needed at all. *)
@@ -178,7 +171,11 @@ module Vector = struct
 
   let rejectors t =
     let acc = ref Node_set.empty in
-    iter_rejectors t (fun p -> acc := Node_set.add p !acc);
+    for i = 0 to Array.length t.ks - 1 do
+      match t.vs.(i) with
+      | Reject -> acc := Node_set.add t.ks.(i) !acc
+      | Accept _ -> ()
+    done;
     !acc
 
   let is_full ~border t =

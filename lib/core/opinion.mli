@@ -51,10 +51,6 @@ module Vector : sig
   val iter : (Node_id.t -> 'v opinion -> unit) -> 'v t -> unit
   (** In increasing node order. *)
 
-  val iter_rejectors : 'v t -> (Node_id.t -> unit) -> unit
-  (** Visits nodes whose entry is [Reject], in increasing order,
-      without materialising a set. *)
-
   val rejector_in : 'v t -> Node_set.t -> bool
   (** [rejector_in t set] iff some [Reject] entry's node is a member of
       [set].  Allocation-free (no predicate closure); lets the delivery

@@ -6,7 +6,6 @@ type 'v config = {
   pick : (Node_id.t * 'v) list -> 'v;
   rank : View.t -> View.t -> int;
   early_stopping : bool;
-  arena : Arena.t;
 }
 
 let lower cfg a b = cfg.rank a b < 0
@@ -18,7 +17,7 @@ let default_pick = function
 let config ?(early_stopping = true) ?(pick = default_pick) ?rank ~graph
     ~propose_value () =
   let rank = match rank with Some r -> r | None -> Ranking.compare graph in
-  { graph; propose_value; pick; rank; early_stopping; arena = Arena.create () }
+  { graph; propose_value; pick; rank; early_stopping }
 
 type 'v event =
   | Init
@@ -333,16 +332,13 @@ let deliver_round cfg st ~src ~round ~view ~opinions =
         if not needs_prune then old_waiting
         else if not rejector_hit then
           (* The overwhelmingly common delivery excuses only [src]: one
-             bitset copy, no scratch buffer needed. *)
+             bitset copy. *)
           Node_set.remove src old_waiting
         else
-          (* Several removals (src plus piggybacked rejectors): one
-             frozen set for the whole prune sequence, the scratch
-             buffer coming from the config's arena pool. *)
-          Arena.build_from cfg.arena old_waiting (fun b ->
-              Arena.remove b src;
-              Opinion.Vector.iter_rejectors opinions (fun p ->
-                  Arena.remove b p))
+          (* The sender and every piggybacked rejector leave the
+             waiting set: the reference oracle's own expression. *)
+          Node_set.diff old_waiting
+            (Node_set.add src (Opinion.Vector.rejectors opinions))
       in
       let opinions_arr = set_at inst.opinions r merged in
       let waiting_arr = set_at inst.waiting r waiting in
@@ -369,7 +365,7 @@ let deliver_round cfg st ~src ~round ~view ~opinions =
    also garbage-collects the whole instance table: no guard can fire
    once [decided] is set (rejections recreate their instance from the
    graph on demand), so the bookkeeping is dead weight — see
-   DESIGN.md "Arena and flat state" for the action-safety argument. *)
+   DESIGN.md "Flat state" for the action-safety argument. *)
 let[@lint.decide_guard] [@lint.cold] decide cfg st ~view accepts =
   match st.decided with
   | Some _ -> (st, [])

@@ -72,12 +72,9 @@ type 'v config = {
           [graph]; the free tiebreak the paper allows is exercised by
           the property suite. *)
   early_stopping : bool;  (** footnote-6 fast path, see above *)
-  arena : Arena.t;
-      (** scratch-buffer pool for the delivery path's transient set
-          computations; created by {!config} and observationally inert
-          (it never aliases into states or messages — the
-          arena-confinement lint rule enforces the discipline) *)
 }
+(** Every node of a run shares one config; it holds no mutable state of
+    its own. *)
 
 val default_pick : (Node_id.t * 'v) list -> 'v
 (** The value proposed by the smallest border node.
@@ -94,7 +91,7 @@ val config :
 (** Convenience constructor; [early_stopping] defaults to [true] (the
     footnote-6 fast path — pass [~early_stopping:false] for the base
     protocol), [pick] to {!default_pick}, [rank] to the paper's ranking
-    over [graph].  Each call creates a private scratch {!Arena.t}. *)
+    over [graph]. *)
 
 (** {1 Events and actions} *)
 

@@ -503,54 +503,6 @@ let random_subset rng t ~keep_probability =
 (* Rank/select over the words: one bounded draw (the same stream the old
    [choose_array] consumed) then O(words) scanning, no intermediate
    array/list. *)
-(* Raw scratch-buffer bitset operations over plain [int array] buffers.
-   The buffers are NOT canonical sets (no trim invariant) and mutation
-   breaks every sharing assumption above, so use of this module is
-   confined to [Arena] (lib/graph/arena.ml) by the arena-confinement
-   lint rule: everywhere else goes through Arena's checkout/release
-   builder API, which guarantees the scratch never escapes un-frozen. *)
-module Unsafe = struct
-  let words (t : t) = Array.length t
-
-  let clear buf = Array.fill buf 0 (Array.length buf) 0
-
-  (* [buf] must be cleared and at least [words t] long. *)
-  let load buf (t : t) = Array.blit t 0 buf 0 (Array.length t)
-
-  let set buf x =
-    let i = Node_id.to_int x in
-    buf.(i / word_bits) <- buf.(i / word_bits) lor (1 lsl (i mod word_bits))
-
-  let unset buf x =
-    let i = Node_id.to_int x in
-    let w = i / word_bits in
-    if w < Array.length buf then
-      buf.(w) <- buf.(w) land lnot (1 lsl (i mod word_bits))
-
-  let get buf x =
-    let i = Node_id.to_int x in
-    let w = i / word_bits in
-    w < Array.length buf && (buf.(w) lsr (i mod word_bits)) land 1 = 1
-
-  let subtract buf (t : t) =
-    let l = Int.min (Array.length buf) (Array.length t) in
-    for i = 0 to l - 1 do
-      buf.(i) <- buf.(i) land lnot t.(i)
-    done
-
-  let union buf (t : t) =
-    for i = 0 to Array.length t - 1 do
-      buf.(i) <- buf.(i) lor t.(i)
-    done
-
-  (* Copies the buffer out into a fresh canonical (trimmed) set; the
-     buffer stays owned by the caller and may be reused. *)
-  let freeze buf : t =
-    let n = ref (Array.length buf) in
-    while !n > 0 && buf.(!n - 1) = 0 do decr n done;
-    if !n = 0 then empty else Array.sub buf 0 !n
-end
-
 let random_element rng t =
   if is_empty t then invalid_arg "Node_set.random_element: empty set";
   let k = ref (Prng.int rng (cardinal t)) in

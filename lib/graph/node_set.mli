@@ -53,38 +53,6 @@ val pp_named : Node_id.Names.t -> Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-(** Raw scratch-buffer bitset operations over plain [int array] buffers
-    (no canonical-form invariant, in-place mutation).  {b Confined to
-    {!Arena}}: the arena-confinement lint rule rejects any reference to
-    this module outside [lib/graph/arena.ml] — use {!Arena}'s
-    checkout/release builder API instead, which guarantees scratch
-    buffers never escape un-frozen. *)
-module Unsafe : sig
-  val words : t -> int
-  (** Number of machine words backing the set (its required capacity). *)
-
-  val clear : int array -> unit
-
-  val load : int array -> t -> unit
-  (** Copies the set's bits into a cleared buffer of sufficient size. *)
-
-  val set : int array -> Node_id.t -> unit
-
-  val unset : int array -> Node_id.t -> unit
-
-  val get : int array -> Node_id.t -> bool
-
-  val subtract : int array -> t -> unit
-  (** In-place [buf := buf \ t]. *)
-
-  val union : int array -> t -> unit
-  (** In-place [buf := buf ∪ t]; the buffer must cover [words t]. *)
-
-  val freeze : int array -> t
-  (** Copies the buffer out as a fresh canonical set; the buffer stays
-      owned by the caller and may be reused. *)
-end
-
 val random_subset : Cliffedge_prng.Prng.t -> t -> keep_probability:float -> t
 (** Keeps each element independently with the given probability. *)
 

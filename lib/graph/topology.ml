@@ -17,18 +17,52 @@ type spec =
   | Implicit_geometric of int * float
   | Implicit_power_law of int
 
-let require condition message = if not condition then invalid_arg message
+(* The one bounds check per family: the constructors raise on it, and
+   [spec_of_string] rejects what it flags, so every parsed spec builds. *)
+let violation = function
+  | Ring n | Implicit_ring n -> if n >= 3 then None else Some "need n >= 3"
+  | Path n | Complete n | Star n | Binary_tree n ->
+      if n >= 2 then None else Some "need n >= 2"
+  | Grid (w, h) ->
+      if w >= 1 && h >= 1 && w * h >= 2 then None else Some "need w, h >= 1, w*h >= 2"
+  | Torus (w, h) | Implicit_torus (w, h) ->
+      if w >= 3 && h >= 3 then None else Some "need w, h >= 3"
+  | Erdos_renyi (n, p) ->
+      if n < 2 then Some "need n >= 2"
+      else if p >= 0.0 && p <= 1.0 then None
+      else Some "p out of [0,1]"
+  | Watts_strogatz (n, k, beta) ->
+      if n < 4 then Some "need n >= 4"
+      else if not (k >= 2 && k mod 2 = 0 && k < n) then Some "need k even, 2 <= k < n"
+      else if beta >= 0.0 && beta <= 1.0 then None
+      else Some "beta out of [0,1]"
+  | Barabasi_albert (n, m) ->
+      if m >= 1 && n > m + 1 then None else Some "need n > m + 1 >= 2"
+  | Random_geometric (n, radius) ->
+      if n < 2 then Some "need n >= 2"
+      else if radius > 0.0 then None
+      else Some "radius must be positive"
+  | Implicit_geometric (n, radius) ->
+      if n < 2 then Some "need n >= 2"
+      else if radius > 0.0 && radius <= 1.0 then None
+      else Some "radius out of (0,1]"
+  | Implicit_power_law n -> if n >= 8 then None else Some "need n >= 8"
+
+let require name spec =
+  Option.iter
+    (fun m -> invalid_arg (Printf.sprintf "Topology.%s: %s" name m))
+    (violation spec)
 
 let ring n =
-  require (n >= 3) "Topology.ring: need n >= 3";
+  require "ring" (Ring n);
   Graph.of_edges (List.init n (fun i -> (i, (i + 1) mod n)))
 
 let path n =
-  require (n >= 2) "Topology.path: need n >= 2";
+  require "path" (Path n);
   Graph.of_edges (List.init (n - 1) (fun i -> (i, i + 1)))
 
 let grid w h =
-  require (w >= 1 && h >= 1 && w * h >= 2) "Topology.grid: need w*h >= 2";
+  require "grid" (Grid (w, h));
   let id x y = (y * w) + x in
   let edges = ref [] in
   for y = 0 to h - 1 do
@@ -40,7 +74,7 @@ let grid w h =
   Graph.of_edges !edges
 
 let torus w h =
-  require (w >= 3 && h >= 3) "Topology.torus: need w, h >= 3";
+  require "torus" (Torus (w, h));
   let id x y = (y * w) + x in
   let edges = ref [] in
   for y = 0 to h - 1 do
@@ -52,7 +86,7 @@ let torus w h =
   Graph.of_edges !edges
 
 let complete n =
-  require (n >= 2) "Topology.complete: need n >= 2";
+  require "complete" (Complete n);
   let edges = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
@@ -62,11 +96,11 @@ let complete n =
   Graph.of_edges !edges
 
 let star n =
-  require (n >= 2) "Topology.star: need n >= 2";
+  require "star" (Star n);
   Graph.of_edges (List.init (n - 1) (fun i -> (0, i + 1)))
 
 let binary_tree n =
-  require (n >= 2) "Topology.binary_tree: need n >= 2";
+  require "binary_tree" (Binary_tree n);
   let edges = ref [] in
   for i = 1 to n - 1 do
     edges := (i, (i - 1) / 2) :: !edges
@@ -80,8 +114,7 @@ let backbone rng n =
   List.init (n - 1) (fun i -> (order.(i), order.(i + 1)))
 
 let erdos_renyi rng n ~p =
-  require (n >= 2) "Topology.erdos_renyi: need n >= 2";
-  require (p >= 0.0 && p <= 1.0) "Topology.erdos_renyi: p out of [0,1]";
+  require "erdos_renyi" (Erdos_renyi (n, p));
   let edges = ref (backbone rng n) in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
@@ -91,9 +124,7 @@ let erdos_renyi rng n ~p =
   Graph.of_edges !edges
 
 let watts_strogatz rng n ~k ~beta =
-  require (n >= 4) "Topology.watts_strogatz: need n >= 4";
-  require (k >= 2 && k mod 2 = 0 && k < n) "Topology.watts_strogatz: bad k";
-  require (beta >= 0.0 && beta <= 1.0) "Topology.watts_strogatz: beta out of [0,1]";
+  require "watts_strogatz" (Watts_strogatz (n, k, beta));
   let g = ref Graph.empty in
   for i = 0 to n - 1 do
     g := Graph.add_node (Node_id.of_int i) !g
@@ -124,7 +155,7 @@ let watts_strogatz rng n ~k ~beta =
   end
 
 let barabasi_albert rng n ~m =
-  require (m >= 1 && n > m + 1) "Topology.barabasi_albert: need n > m + 1 >= 2";
+  require "barabasi_albert" (Barabasi_albert (n, m));
   let g = ref (complete (m + 1)) in
   (* Repeated endpoints of existing edges implement degree-proportional
      sampling. *)
@@ -150,8 +181,7 @@ let barabasi_albert rng n ~m =
   !g
 
 let random_geometric rng n ~radius =
-  require (n >= 2) "Topology.random_geometric: need n >= 2";
-  require (radius > 0.0) "Topology.random_geometric: radius must be positive";
+  require "random_geometric" (Random_geometric (n, radius));
   let points = Array.init n (fun _ -> (Prng.float rng 1.0, Prng.float rng 1.0)) in
   let close i j =
     let xi, yi = points.(i) and xj, yj = points.(j) in
@@ -195,7 +225,7 @@ let random_geometric rng n ~radius =
    an on-demand kernel cannot replay a draw sequence. *)
 
 let implicit_ring n =
-  require (n >= 3) "Topology.implicit_ring: need n >= 3";
+  require "implicit_ring" (Implicit_ring n);
   Graph.implicit ~n
     ~degree:(fun _ -> 2)
     ~iter_neighbours:(fun i f ->
@@ -206,7 +236,7 @@ let implicit_ring n =
     ()
 
 let implicit_torus w h =
-  require (w >= 3 && h >= 3) "Topology.implicit_torus: need w, h >= 3";
+  require "implicit_torus" (Implicit_torus (w, h));
   Graph.implicit ~n:(w * h)
     ~degree:(fun _ -> 4)
     ~iter_neighbours:(fun i f ->
@@ -245,9 +275,7 @@ let unit_float seed x =
    the point set differs — differential tests compare the kernel against
    its own materialization, not against the PRNG-driven builder. *)
 let implicit_geometric ~seed n ~radius =
-  require (n >= 2) "Topology.implicit_geometric: need n >= 2";
-  require (radius > 0.0 && radius <= 1.0)
-    "Topology.implicit_geometric: radius out of (0,1]";
+  require "implicit_geometric" (Implicit_geometric (n, radius));
   let g = Int.max 1 (int_of_float (1.0 /. radius)) in
   let cells = g * g in
   let position i =
@@ -358,7 +386,7 @@ let perm_inv ~seed m y =
    on the same node) are skipped; candidates are deduped so multi-edges
    collapse and [degree] agrees with the neighbour-set cardinality. *)
 let implicit_power_law ~seed n =
-  require (n >= 8) "Topology.implicit_power_law: need n >= 8";
+  require "implicit_power_law" (Implicit_power_law n);
   let rec largest_k k = if (1 lsl (k + 2)) - 1 <= n then largest_k (k + 1) else k in
   let k_top = largest_k 0 in
   let block_stubs = 1 lsl k_top in
@@ -423,7 +451,7 @@ let build rng = function
       implicit_geometric ~seed:(Prng.int rng 0x3fff_ffff) n ~radius
   | Implicit_power_law n -> implicit_power_law ~seed:(Prng.int rng 0x3fff_ffff) n
 
-let spec_of_string s =
+let parse_spec s =
   let fail () = Error (Printf.sprintf "unrecognized topology spec %S" s) in
   let int_of x = int_of_string_opt x in
   let float_of x = float_of_string_opt x in
@@ -478,6 +506,12 @@ let spec_of_string s =
   | [ "iplaw"; n ] -> (
       match int_of n with Some n -> Ok (Implicit_power_law n) | None -> fail ())
   | _ -> fail ()
+
+let spec_of_string s =
+  Result.bind (parse_spec s) (fun spec ->
+      match violation spec with
+      | None -> Ok spec
+      | Some m -> Error (Printf.sprintf "topology spec %S: %s" s m))
 
 let pp_spec ppf = function
   | Ring n -> Format.fprintf ppf "ring:%d" n

@@ -110,6 +110,9 @@ val spec_of_string : string -> (spec, string) result
     ["torus:8x8"], ["er:200:0.05"], ["ws:100:6:0.1"], ["ba:150:3"],
     ["geo:100:0.15"], ["complete:30"], ["star:20"], ["path:50"],
     ["tree:63"] — and the implicit families ["iring:1000000"],
-    ["itorus:1000x1000"], ["igeo:100000:0.01"], ["iplaw:100000"]. *)
+    ["itorus:1000x1000"], ["igeo:100000:0.01"], ["iplaw:100000"].
+    Sizes and parameters go through the same bounds check the builders
+    raise on, so every accepted spec builds: ["ring:2"] is an [Error]
+    naming the bound, not a deferred [Invalid_argument]. *)
 
 val pp_spec : Format.formatter -> spec -> unit

@@ -520,76 +520,3 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
     violations = List.rev !violations;
     truncated = !truncated;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Parallel seed frontier (Sample mode across domains)                 *)
-
-module Par = Cliffedge_par.Par
-
-type frontier_job = {
-  job_fd : fd_semantics;
-  job_channel : channel_scope;
-  job_max_states : int;
-  job_early_stopping : bool;
-  job_make_graph : unit -> Graph.t;
-  job_crashes : Node_id.t list;
-  job_walks : int;
-  job_seed : int;
-}
-
-(* One seed of the frontier.  The graph is built inside the call —
-   [Graph.t] memoizes border/component queries internally, so a shared
-   instance would be a hidden race the untyped analysis cannot see;
-   taking a constructor instead of a graph makes the ownership contract
-   structural.  Certified by the domain-safety lint rule. *)
-let[@lint.parallel_entry] sample_job job =
-  explore ~fd:job.job_fd ~channel:job.job_channel
-    ~mode:(Sample { walks = job.job_walks; seed = job.job_seed })
-    ~max_states:job.job_max_states ~early_stopping:job.job_early_stopping
-    ~graph:(job.job_make_graph ()) ~crashes:job.job_crashes ()
-
-let sample_frontier ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
-    ?(max_states = 1_000_000) ?(early_stopping = true) ?domains ~make_graph
-    ~crashes ~walks_per_seed ~seeds () =
-  let jobs =
-    List.map
-      (fun seed ->
-        {
-          job_fd = fd;
-          job_channel = channel;
-          job_max_states = max_states;
-          job_early_stopping = early_stopping;
-          job_make_graph = make_graph;
-          job_crashes = crashes;
-          job_walks = walks_per_seed;
-          job_seed = seed;
-        })
-      seeds
-  in
-  let domains =
-    match domains with Some d -> d | None -> Par.default_domains ()
-  in
-  let results = Par.map ~domains sample_job jobs in
-  (* Merge: state counts are per-seed distinct (cross-seed duplicates
-     are not deduplicated, so the sum is an upper bound on distinct
-     states); violations keep the first 10 in seed order, like the
-     sequential collector. *)
-  List.fold_left
-    (fun acc s ->
-      {
-        states_explored = acc.states_explored + s.states_explored;
-        transitions = acc.transitions + s.transitions;
-        leaves = acc.leaves + s.leaves;
-        violations =
-          (let merged = acc.violations @ s.violations in
-           List.filteri (fun i _ -> i < 10) merged);
-        truncated = acc.truncated || s.truncated;
-      })
-    {
-      states_explored = 0;
-      transitions = 0;
-      leaves = 0;
-      violations = [];
-      truncated = false;
-    }
-    results

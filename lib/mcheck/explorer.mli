@@ -94,28 +94,3 @@ val ok : stats -> bool
 (** No violations and not truncated. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-
-val sample_frontier :
-  ?fd:fd_semantics ->
-  ?channel:channel_scope ->
-  ?max_states:int ->
-  ?early_stopping:bool ->
-  ?domains:int ->
-  make_graph:(unit -> Graph.t) ->
-  crashes:Cliffedge_graph.Node_id.t list ->
-  walks_per_seed:int ->
-  seeds:int list ->
-  unit ->
-  stats
-(** [sample_frontier ~make_graph ~crashes ~walks_per_seed ~seeds ()]
-    runs one [Sample]-mode exploration per seed, striped across
-    [domains] stdlib domains (default
-    {!Cliffedge_par.Par.default_domains}), and merges the per-seed
-    statistics.  The result is independent of [domains]: each seed's
-    walk is a pure function of its job, and the merge preserves seed
-    order.  [make_graph] is called once {e inside} each worker —
-    graphs memoize border/component queries, so sharing one instance
-    across domains would race; the constructor argument makes each
-    worker build its own.  [states_explored] sums per-seed distinct
-    counts (an upper bound on globally distinct states); [violations]
-    keeps the first 10 in seed order, like the sequential collector. *)

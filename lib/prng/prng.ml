@@ -17,21 +17,6 @@ let next_int64 t =
 
 let split t = { state = next_int64 t }
 
-(* Per-domain splitting: a pure function of the parent state and the
-   path index, so it neither advances the parent nor depends on how
-   many children were split before — child [k] of a given parent state
-   is the same generator every time.  Distinct paths land on distinct
-   golden-gamma multiples before scrambling; the double [mix]
-   decorrelates child states from the parent's (single-mixed) output
-   stream.  The stream-independence qcheck suite (test_prng.ml) checks
-   the first 10k draws of sibling and parent streams for overlap. *)
-let split_path t ~path =
-  if path < 0 then invalid_arg "Prng.split_path: path must be non-negative";
-  {
-    state =
-      mix (mix (Int64.add t.state (Int64.mul golden_gamma (Int64.of_int (path + 1)))));
-  }
-
 (* Masks down to OCaml's 62 value bits so the result is a non-negative
    native [int]. *)
 let next_nonneg t = Int64.to_int (Int64.logand (next_int64 t) (Int64.of_int max_int))

@@ -21,16 +21,6 @@ val split : t -> t
 (** [split t] derives a new generator whose stream is statistically
     independent from the remainder of [t]'s stream.  Advances [t]. *)
 
-val split_path : t -> path:int -> t
-(** [split_path t ~path] derives the [path]-th child generator as a
-    pure function of [t]'s current state: the parent is not advanced,
-    re-splitting the same path yields the same child, and distinct
-    paths yield independent streams.  This is the per-domain
-    constructor for parallel sweeps — worker [k] draws from
-    [split_path t ~path:k] and the schedule stays deterministic
-    regardless of domain interleaving.
-    @raise Invalid_argument if [path < 0]. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

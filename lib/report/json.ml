@@ -128,7 +128,13 @@ let of_string s =
           | 'f' -> Buffer.add_char buffer '\012'; go ()
           | 'u' ->
               if !pos + 4 > len then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+              let digits = String.sub s !pos 4 in
+              (* [int_of_string] alone would also take a sign or an
+                 underscore, and raise on anything else. *)
+              let hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+              if not (String.for_all hex digits) then
+                fail "invalid \\u escape at offset %d: expected four hex digits" (!pos - 2);
+              let code = int_of_string ("0x" ^ digits) in
               pos := !pos + 4;
               Buffer.add_utf_8_uchar buffer
                 (if Uchar.is_valid code then Uchar.of_int code else Uchar.rep);

@@ -11,10 +11,16 @@ let grow rng graph ~seed_node ~size =
   in
   loop (Node_set.singleton seed_node)
 
-let validate graph size =
+let check_size graph ~size =
   let n = Graph.node_count graph in
-  if size < 1 || size > n - 1 then
-    invalid_arg "Fault_gen: region size must be within [1, nodes - 1]"
+  if size >= 1 && size <= n - 1 then Ok ()
+  else
+    Error
+      (Printf.sprintf "region size %d is not within [1, %d] (the topology has %d nodes)"
+         size (n - 1) n)
+
+let validate graph size =
+  Result.iter_error (fun m -> invalid_arg ("Fault_gen: " ^ m)) (check_size graph ~size)
 
 let connected_region_from rng graph ~seed_node ~size =
   validate graph size;

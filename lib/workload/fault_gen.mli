@@ -7,6 +7,12 @@
 
 open Cliffedge_graph
 
+val check_size : Graph.t -> size:int -> (unit, string) result
+(** [Ok ()] iff a region of [size] nodes fits in the graph and leaves a
+    correct node: [size] within [\[1, nodes - 1\]], the bound the
+    random region builders below raise on.  The error names the bound,
+    so a front end can reject a size before building anything. *)
+
 val connected_region :
   Cliffedge_prng.Prng.t -> Graph.t -> size:int -> Node_set.t
 (** A uniform-ish random connected region of exactly [size] nodes, grown

@@ -1,10 +1,6 @@
-(* Fixture: the three sanctioned shapes — a [@lint.domain_guard]
-   ownership boundary, immutable-after-init state declared
-   [@lint.domain_safe], and allocations that never escape the entry. *)
-
-let buf = Buffer.create 16
-let[@lint.domain_guard] guarded k = Buffer.add_char buf k
-let[@lint.parallel_entry] worker k = guarded k
+(* Fixture: the two sanctioned shapes — immutable-after-init state
+   declared [@lint.domain_safe], and allocations that never escape the
+   entry. *)
 
 let[@lint.domain_safe] names = Array.of_list [ "a"; "b" ]
 let[@lint.parallel_entry] lookup i = Array.get names i

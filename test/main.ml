@@ -37,5 +37,4 @@ let () =
       Test_lint_fixpoint.suite;
       Test_alloc_certifier.suite;
       Test_differential.suite;
-      Test_arena.suite;
     ]

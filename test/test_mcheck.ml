@@ -154,39 +154,6 @@ let test_sampling_deterministic () =
   Alcotest.(check int) "states" a.states_explored b.states_explored;
   Alcotest.(check int) "transitions" a.transitions b.transitions
 
-let test_frontier_domain_independent () =
-  (* The parallel seed frontier must be a pure function of its seeds:
-     striping the same frontier over 1 or 2 domains (and repeating the
-     2-domain run) yields identical merged statistics. *)
-  let run domains =
-    Explorer.sample_frontier ~domains
-      ~make_graph:(fun () -> Topology.ring 6)
-      ~crashes:[ n 2; n 3 ] ~walks_per_seed:20
-      ~seeds:[ 0; 1; 2; 3; 4 ] ()
-  in
-  let serial = run 1 and par = run 2 and par' = run 2 in
-  Alcotest.(check bool) "explored something" true (serial.states_explored > 0);
-  Alcotest.(check int) "states" serial.states_explored par.states_explored;
-  Alcotest.(check int) "transitions" serial.transitions par.transitions;
-  Alcotest.(check int) "leaves" serial.leaves par.leaves;
-  Alcotest.(check bool) "no violations" true
-    (serial.violations = [] && par.violations = []);
-  Alcotest.(check int) "repeat run stable" par.states_explored
-    par'.states_explored
-
-let test_frontier_merges_violations () =
-  (* Under the raw detector the sampler finds CD5 anomalies; the
-     frontier merge must surface them (capped at 10) rather than lose
-     them across domains. *)
-  let stats =
-    Explorer.sample_frontier ~fd:`Raw ~domains:2
-      ~make_graph:(fun () -> Topology.path 5)
-      ~crashes:[ n 2; n 3 ] ~walks_per_seed:400 ~seeds:[ 3; 4 ] ()
-  in
-  Alcotest.(check bool) "anomalies surface through the merge" true
-    (stats.violations <> []);
-  Alcotest.(check bool) "cap holds" true (List.length stats.violations <= 10)
-
 let suite =
   let name, cases = suite in
   ( name,
@@ -196,8 +163,4 @@ let suite =
         Alcotest.test_case "sampling finds anomaly" `Quick
           test_sampling_finds_raw_anomaly;
         Alcotest.test_case "sampling deterministic" `Quick test_sampling_deterministic;
-        Alcotest.test_case "frontier domain-independent" `Quick
-          test_frontier_domain_independent;
-        Alcotest.test_case "frontier merges violations" `Quick
-          test_frontier_merges_violations;
       ] )

@@ -122,54 +122,6 @@ let test_exponential_mean () =
   let mean = !total /. float_of_int n in
   Alcotest.(check bool) "mean near 5" true (mean > 4.5 && mean < 5.5)
 
-(* --- split_path: the per-domain constructor (parallel sweeps) ------ *)
-
-let test_split_path_pure () =
-  (* Deriving a child is a pure function of the parent's current state:
-     the parent stream is unaffected and re-splitting the same path
-     replays the same child stream. *)
-  let a = Prng.create 11 in
-  let before = Prng.copy a in
-  let c1 = Prng.split_path a ~path:3 in
-  let c2 = Prng.split_path a ~path:3 in
-  let vc1 = List.init 1000 (fun _ -> Prng.next_int64 c1) in
-  let vc2 = List.init 1000 (fun _ -> Prng.next_int64 c2) in
-  Alcotest.(check bool) "re-split replays" true (vc1 = vc2);
-  let va = List.init 100 (fun _ -> Prng.next_int64 a) in
-  let vb = List.init 100 (fun _ -> Prng.next_int64 before) in
-  Alcotest.(check bool) "parent not advanced" true (va = vb)
-
-let test_split_path_rejects_negative () =
-  let a = Prng.create 11 in
-  Alcotest.check_raises "negative path"
-    (Invalid_argument "Prng.split_path: path must be non-negative") (fun () ->
-      ignore (Prng.split_path a ~path:(-1)))
-
-let prop_split_path_independent =
-  (* Distinct paths from the same parent produce streams that share no
-     64-bit value in their first 10k draws — the property the parallel
-     seed sweeps lean on when worker [k] draws from [split_path ~path:k]. *)
-  QCheck2.Test.make ~name:"split_path streams do not overlap (10k draws)"
-    ~count:20
-    QCheck2.Gen.(triple (int_range 0 1_000_000) (int_range 0 500) (int_range 1 500))
-    (fun (seed, p1, offset) ->
-      let p2 = p1 + offset in
-      let parent = Prng.create seed in
-      let c1 = Prng.split_path parent ~path:p1 in
-      let c2 = Prng.split_path parent ~path:p2 in
-      let seen = Hashtbl.create 20_000 in
-      for _ = 1 to 10_000 do
-        Hashtbl.replace seen (Prng.next_int64 c1) ()
-      done;
-      let overlap = ref 0 in
-      for _ = 1 to 10_000 do
-        if Hashtbl.mem seen (Prng.next_int64 c2) then incr overlap
-      done;
-      if !overlap > 0 then
-        QCheck2.Test.fail_reportf
-          "paths %d and %d overlap in %d of the first 10k draws" p1 p2 !overlap;
-      true)
-
 let suite =
   ( "prng",
     [
@@ -190,9 +142,4 @@ let suite =
       Alcotest.test_case "sample whole list" `Quick test_sample_whole_list;
       Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
       Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
-      Alcotest.test_case "split_path pure and reproducible" `Quick
-        test_split_path_pure;
-      Alcotest.test_case "split_path rejects negative" `Quick
-        test_split_path_rejects_negative;
-      QCheck_alcotest.to_alcotest prop_split_path_independent;
     ] )

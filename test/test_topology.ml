@@ -130,6 +130,43 @@ let test_spec_rejects_garbage () =
       | Ok _ -> Alcotest.failf "should not parse: %s" s)
     [ ""; "ring"; "ring:x"; "grid:3"; "unknown:3"; "er:10"; "torus:3x" ]
 
+(* Every spec the parser accepts must build: the parser and the
+   constructors share one bounds check.  The table walks each family
+   across its bounds; [true] marks the specs that must parse. *)
+let test_spec_accepted_builds () =
+  List.iter
+    (fun (s, valid) ->
+      match Topology.spec_of_string s with
+      | Error e ->
+          if valid then Alcotest.failf "%s rejected: %s" s e
+      | Ok spec -> (
+          if not valid then Alcotest.failf "%s should be rejected" s;
+          match Topology.build (rng ()) spec with
+          | _ -> ()
+          | exception Invalid_argument m ->
+              Alcotest.failf "%s parsed but does not build: %s" s m))
+    [
+      ("ring:0", false); ("ring:2", false); ("ring:3", true); ("ring:-4", false);
+      ("path:1", false); ("path:2", true);
+      ("grid:1x1", false); ("grid:1x2", true); ("grid:0x5", false);
+      ("grid:-1x-2", false);
+      ("torus:0x5", false); ("torus:2x3", false); ("torus:3x3", true);
+      ("complete:1", false); ("complete:2", true);
+      ("star:1", false); ("star:2", true);
+      ("tree:1", false); ("tree:2", true);
+      ("er:1:0.5", false); ("er:2:0.5", true); ("er:40:1.5", false);
+      ("er:10:-0.1", false); ("er:10:nan", false);
+      ("ws:3:2:0.5", false); ("ws:4:2:0.5", true); ("ws:40:41:0.2", false);
+      ("ws:10:3:0.1", false); ("ws:10:10:0.1", false); ("ws:10:2:1.5", false);
+      ("ba:3:5", false); ("ba:2:1", false); ("ba:3:1", true); ("ba:5:0", false);
+      ("geo:1:0.3", false); ("geo:2:0", false); ("geo:2:nan", false);
+      ("geo:2:0.5", true);
+      ("iring:2", false); ("iring:3", true);
+      ("itorus:3x2", false); ("itorus:3x3", true);
+      ("igeo:1:0.5", false); ("igeo:2:1.5", false); ("igeo:2:1", true);
+      ("iplaw:7", false); ("iplaw:8", true);
+    ]
+
 let suite =
   ( "topology",
     [
@@ -149,4 +186,5 @@ let suite =
       Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
       Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
       Alcotest.test_case "spec rejects garbage" `Quick test_spec_rejects_garbage;
+      Alcotest.test_case "accepted specs build" `Quick test_spec_accepted_builds;
     ] )

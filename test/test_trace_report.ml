@@ -2,6 +2,7 @@
 
 module Summary = Cliffedge_report.Summary
 module Table = Cliffedge_report.Table
+module Json = Cliffedge_report.Json
 
 let test_summary_singleton () =
   let s = Summary.of_list [ 5.0 ] in
@@ -63,6 +64,19 @@ let test_table_row_mismatch () =
     (Invalid_argument "Table.add_row: row width mismatches columns") (fun () ->
       Table.add_row t [ "only one" ])
 
+(* A \u escape is exactly four hex digits; anything else is a parse
+   error with an offset, never an exception out of [of_string]. *)
+let test_json_unicode_escapes () =
+  (match Json.of_string {|"caf\u00E9 \u00e9"|} with
+  | Ok (Json.String s) -> Alcotest.(check string) "decoded" "caf\xc3\xa9 \xc3\xa9" s
+  | Ok _ | Error _ -> Alcotest.fail "valid escape rejected");
+  List.iter
+    (fun bad ->
+      match Json.of_string bad with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %s" bad)
+    [ {|"\u12zz"|}; {|"\u+123"|}; {|"\u-123"|}; {|"\u1_23"|}; {|"\u12"|} ]
+
 let suite =
   ( "trace/report",
     [
@@ -73,4 +87,5 @@ let suite =
       Alcotest.test_case "summary of ints" `Quick test_summary_of_ints;
       Alcotest.test_case "table renders" `Quick test_table_renders;
       Alcotest.test_case "table row mismatch" `Quick test_table_row_mismatch;
+      Alcotest.test_case "json unicode escapes" `Quick test_json_unicode_escapes;
     ] )

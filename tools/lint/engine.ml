@@ -15,7 +15,6 @@ let registry : Rule.t list =
     Rules_purity.rule;
     Rules_hygiene.obj_magic;
     Rules_hygiene.mli_coverage;
-    Rules_arena.rule;
     Rules_decide_once.rule;
     Rules_send_locality.rule;
     Rules_exn_flow.rule;

@@ -24,10 +24,6 @@ let file_exempt ~rule ~component ~basename =
   | ("core-purity" | "send-locality"), "lib/core", ("runner.ml" | "runner.mli")
     ->
       true
-  (* The arena is the one place allowed to mutate raw bitset scratch:
-     its checkout/release discipline is exactly what the rule protects
-     everywhere else (see DESIGN.md "Arena and flat state"). *)
-  | "arena-confinement", "lib/graph", ("arena.ml" | "arena.mli") -> true
   | _ -> false
 
 let applies ~rule ~component ~basename =
@@ -43,9 +39,6 @@ let applies ~rule ~component ~basename =
     | "core-purity" -> String.equal component "lib/core"
     | "mli-coverage" -> in_lib component
     | "no-obj-magic" | "unused-allow" -> true
-    (* Scratch mutation is confined to the arena's checkout/release
-       discipline, tree-wide. *)
-    | "arena-confinement" -> true
     (* CD1's shadow: the single decision gate lives in lib/core. *)
     | "decide-once" -> String.equal component "lib/core"
     (* CD3's shadow: protocol code may only address border nodes, so
@@ -76,7 +69,6 @@ let scope_doc = function
   | "core-purity" -> "`lib/core`"
   | "mli-coverage" -> "`lib/**`"
   | "no-obj-magic" | "unused-allow" -> "everywhere"
-  | "arena-confinement" -> "everywhere"
   | "decide-once" | "send-locality" -> "`lib/core`"
   | "exception-flow" -> "`lib/codec`, `lib/net`"
   | "nondet-taint" -> "`lib/**` but `lib/prng`"
@@ -86,5 +78,4 @@ let scope_doc = function
 
 let exempt_doc = function
   | "core-purity" | "send-locality" -> "`runner.ml(i)`"
-  | "arena-confinement" -> "`lib/graph/arena.ml(i)`"
   | _ -> "—"

@@ -36,10 +36,11 @@
 
    The static certificate is deliberately path-INsensitive: a function
    whose fast path allocates nothing but whose rare branch allocates
-   (arena pool miss, FD first registration) cannot be certified — it
-   carries a [@lint.allow "hot-path-alloc"] whose comment cites the
-   measured [Gc.minor_words] budget; `bench alloc` asserts the dynamic
-   twin of every certificate, so static verdict and counter agree. *)
+   (FD first registration, a Deliver that updates the state) cannot be
+   certified — it carries a [@lint.allow "hot-path-alloc"] whose comment
+   cites the measured [Gc.minor_words] budget; `bench alloc` asserts the
+   dynamic twin of every certificate, so static verdict and counter
+   agree. *)
 
 open Ppxlib
 

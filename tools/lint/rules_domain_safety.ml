@@ -10,29 +10,24 @@
 
    - {e shared-mutable roots} are top-level bindings whose initializer
      allocates mutable state outside any lambda ([ref], [Hashtbl.create],
-     [Buffer.create], [Bytes.*], [Array.make]/[init], [Arena.create],
-     [Prng.create], ...).  A binding like [let table = Hashtbl.create 16]
-     is one heap object shared by every caller — and by every domain.
-     Ambient process state counts too: the global [Random] state and
-     the stdout/stderr print family.
+     [Buffer.create], [Bytes.*], [Array.make]/[init], [Prng.create],
+     ...).  A binding like [let table = Hashtbl.create 16] is one heap
+     object shared by every caller — and by every domain.  Ambient
+     process state counts too: the global [Random] state and the
+     stdout/stderr print family.
    - {e domain-local} allocations are the same calls inside a function
      body: each invocation makes a fresh object, so parallel callers
      never alias (provided arguments are caller-owned — see below).
-   - {e domain-safe} roots are shared but either immutable after
-     initialization (annotate the binding [@lint.domain_safe]) or
-     confined behind an ownership boundary: a callee annotated
-     [@lint.domain_guard] (the arena checkout/release pair) promises
-     that whatever it hands out is exclusively owned until returned,
-     so propagation is cut at guard functions.
+   - {e domain-safe} roots are shared but immutable after
+     initialization (annotate the binding [@lint.domain_safe]).
 
    The root-set of each function is solved as a fixpoint over
-   {!Fixpoint.String_set_lattice} (direct touches joined with
-   un-guarded callees' sets).  Enforcement is opt-in at the dispatch
-   boundary: a function annotated [@lint.parallel_entry] must have an
-   empty root-set, and every [Par.map]-style dispatch must hand over
-   an annotated top-level binding — so deleting the annotation to
-   dodge the analysis moves the diagnostic to the dispatch site
-   instead of silencing it.
+   {!Fixpoint.String_set_lattice} (direct touches joined with callees'
+   sets).  Enforcement is opt-in at the dispatch boundary: a function
+   annotated [@lint.parallel_entry] must have an empty root-set, and
+   every [Par.map]-style dispatch must hand over an annotated top-level
+   binding — so deleting the annotation to dodge the analysis moves the
+   diagnostic to the dispatch site instead of silencing it.
 
    Soundness direction and its stated gap: the analysis is
    over-approximate on reachability (every identifier occurrence is an
@@ -52,7 +47,6 @@ let has_attr name attrs =
   List.exists (fun (a : attribute) -> String.equal a.attr_name.txt name) attrs
 
 let is_entry (fn : Callgraph.fn) = has_attr "lint.parallel_entry" fn.attrs
-let is_guard (fn : Callgraph.fn) = has_attr "lint.domain_guard" fn.attrs
 let is_declared_safe (fn : Callgraph.fn) = has_attr "lint.domain_safe" fn.attrs
 
 (* Name segments with the [Stdlib.] prefix stripped, so [ref],
@@ -72,13 +66,11 @@ let allocator_pairs =
     ("Buffer", "create");
     ("Queue", "create");
     ("Stack", "create");
-    ("Arena", "create");
     ("Log", "create");
     ("Stats", "create");
     ("Prng", "create");
     ("Prng", "copy");
     ("Prng", "split");
-    ("Prng", "split_path");
     ("Bytes", "create");
     ("Bytes", "make");
     ("Bytes", "of_string");
@@ -215,8 +207,7 @@ let check ~batch ~eligible =
       Fixpoint.String_set_lattice.bottom fn.calls
   in
   (* Pass 2: close reachability.  Root bindings themselves transfer
-     bottom (their initializers run once, pre-spawn, at module init);
-     guard callees cut propagation. *)
+     bottom (their initializers run once, pre-spawn, at module init). *)
   let keys = List.map (fun (f : Callgraph.fn) -> f.id) fns in
   let transfer get id =
     match Callgraph.find g id with
@@ -232,20 +223,17 @@ let check ~batch ~eligible =
                   List.fold_left
                     (fun acc c ->
                       if Hashtbl.mem root_of c then acc
-                      else
-                        match Callgraph.find g c with
-                        | Some callee when is_guard callee -> acc
-                        | _ -> Fixpoint.String_set_lattice.join acc (get c))
+                      else Fixpoint.String_set_lattice.join acc (get c))
                     acc (callees fn ids))
             (direct fn) fn.calls
   in
   let roots, _stats = Roots.solve ~keys ~transfer in
   (* Witness search: shortest path from the entry to a function that
      directly touches the root, along the same edges the fixpoint
-     propagated over (guards and root bindings are not intermediate
-     nodes) — Callgraph.bfs_path knows nothing of the guard cut, so a
-     local BFS. *)
-  let bfs_guarded ~start ~goal =
+     propagated over (plausible edges only, root bindings are not
+     intermediate nodes) — Callgraph.bfs_path knows neither, so a local
+     BFS. *)
+  let bfs_witness ~start ~goal =
     let parent : (string, string) Hashtbl.t = Hashtbl.create 16 in
     Hashtbl.replace parent start start;
     let q = Queue.create () in
@@ -265,18 +253,12 @@ let check ~batch ~eligible =
                 | Callgraph.Known ids ->
                     List.iter
                       (fun c ->
-                        if not (Hashtbl.mem parent c) then
-                          let skip =
-                            Hashtbl.mem root_of c
-                            ||
-                            match Callgraph.find g c with
-                            | Some f -> is_guard f
-                            | None -> false
-                          in
-                          if not skip then begin
-                            Hashtbl.replace parent c id;
-                            Queue.add c q
-                          end)
+                        if
+                          not (Hashtbl.mem parent c || Hashtbl.mem root_of c)
+                        then begin
+                          Hashtbl.replace parent c id;
+                          Queue.add c q
+                        end)
                       (callees fn ids))
               fn.calls
     done;
@@ -302,7 +284,7 @@ let check ~batch ~eligible =
             (fun root ->
               let via =
                 match
-                  bfs_guarded ~start:fn.id ~goal:(fun id ->
+                  bfs_witness ~start:fn.id ~goal:(fun id ->
                       match Callgraph.find g id with
                       | Some f ->
                           Fixpoint.String_set_lattice.mem root (direct f)
@@ -315,8 +297,7 @@ let check ~batch ~eligible =
               Diagnostic.make ~rule:rule_id ~file:fn.file.Rule.rel ~loc:fn.loc
                 (Printf.sprintf
                    "'%s' is a [@lint.parallel_entry] but may touch the shared \
-                    mutable root %s (%s); make the state domain-local, or \
-                    confine it behind a [@lint.domain_guard] boundary"
+                    mutable root %s (%s); make the state domain-local"
                    fn.name root via))
             (roots fn.id)
         else [])
@@ -396,7 +377,6 @@ let rule =
   Rule.flow_rule ~id:rule_id
     ~doc:
       "functions reachable from a [@lint.parallel_entry] touch no \
-       shared-mutable root (escape analysis over the call graph, \
-       [@lint.domain_guard] ownership cuts); Par dispatch requires the \
-       annotation"
+       shared-mutable root (escape analysis over the call graph); Par \
+       dispatch requires the annotation"
     check
