@@ -1,7 +1,7 @@
 (* Benchmark and experiment entry point.
 
    Usage:
-     dune exec bench/main.exe            # everything: X1-X8 + micro
+     dune exec bench/main.exe            # everything: X1-X16 + micro
      dune exec bench/main.exe -- x4 x5   # selected experiments
      dune exec bench/main.exe -- micro   # bechamel micro-benchmarks only
 
@@ -10,7 +10,9 @@
 module Json = Cliffedge_report.Json
 
 let usage () =
-  print_endline "usage: main.exe [x1 .. x8 | micro | smoke | all]";
+  print_endline
+    "usage: main.exe [x1 .. x16 | trace | largen | micro | smoke | all | \
+     COMMAND] [--csv DIR] [--json FILE]";
   print_endline "  x1  Fig. 1(a): disjoint regions, independent agreements";
   print_endline "  x2  Fig. 1(b): cascade race F1 -> F3";
   print_endline "  x3  Fig. 2: adjacent faulty domains, progress";
@@ -29,6 +31,8 @@ let usage () =
   print_endline "  x16 ARQ-over-lossy-channel overhead: drop rate x backoff policy";
   print_endline
     "  trace  causal-trace latency histograms (lib/obs) on the lossy X16 scenario";
+  print_endline
+    "  largen  one run and a 512-crash cascade on an implicit 100k-node ring";
   print_endline "  micro  bechamel micro-benchmarks";
   print_endline "  smoke  one tiny micro-bench; with --json, validates the output file";
   print_endline
@@ -43,10 +47,6 @@ let usage () =
   print_endline
     "  alloc  dynamic zero-alloc assertions: Gc.minor_words per op for \
      every [@lint.hot_path] entry, against its measured budget";
-  print_endline
-    "  parsweep [--domains N] [--seeds N]  X7 matrix striped over domains \
-     (clamped to the recommended domain count), with a serial-vs-parallel \
-     byte diff of the per-seed causal logs";
   print_endline
     "  compare OLD.json NEW.json [--threshold PCT] [--alloc-threshold PCT]";
   print_endline
@@ -491,43 +491,6 @@ let compare_command rest =
          [--alloc-threshold PCT] [--json VERDICT.json]";
       exit 1
 
-let parsweep_command rest =
-  let domains = ref (Cliffedge_par.Par.default_domains ()) in
-  let seeds = ref 3 in
-  let positive flag v =
-    match int_of_string_opt v with
-    | Some n when n > 0 -> n
-    | Some _ | None ->
-        Printf.eprintf "bench: %s expects a positive integer, got %S\n" flag v;
-        exit 1
-  in
-  let rec go = function
-    | "--domains" :: v :: rest ->
-        domains := positive "--domains" v;
-        go rest
-    | "--seeds" :: v :: rest ->
-        seeds := positive "--seeds" v;
-        go rest
-    | arg :: _ ->
-        Printf.eprintf "bench: parsweep: unknown argument %S\n" arg;
-        exit 1
-    | [] -> ()
-  in
-  go rest;
-  (* Oversubscribing domains only adds scheduler thrash (PR 7 measured
-     an honest 0.63x on a 1-core container): clamp to the runtime's
-     recommendation.  The warning names the requested count but not the
-     machine-dependent cap, keeping stderr cram-stable. *)
-  let cap = Domain.recommended_domain_count () in
-  if !domains > cap then begin
-    Printf.eprintf
-      "bench: parsweep: %d domain(s) requested, clamping to the recommended \
-       domain count for this machine\n"
-      !domains;
-    domains := cap
-  end;
-  Par_sweep.run ~domains:!domains ~seeds:!seeds
-
 let run_experiment name =
   match List.assoc_opt name Experiments.all with
   | Some f ->
@@ -580,7 +543,6 @@ let () =
       exit 1
   | "alloc" :: rest -> Alloc_cert.command rest
   | "compare" :: rest -> compare_command rest
-  | "parsweep" :: rest -> parsweep_command rest
   | [] ->
       Experiments.run_all ();
       Micro.run ()

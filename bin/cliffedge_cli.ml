@@ -52,7 +52,9 @@ let topology_arg =
     & info [ "t"; "topology" ] ~docv:"SPEC"
         ~doc:
           "Topology: ring:N, path:N, grid:WxH, torus:WxH, complete:N, star:N, \
-           tree:N, er:N:P, ws:N:K:BETA, ba:N:M, geo:N:R.")
+           tree:N, er:N:P, ws:N:K:BETA, ba:N:M, geo:N:R, or an implicit \
+           family, never materialized: iring:N, itorus:WxH, igeo:N:R, \
+           iplaw:N.")
 
 let seed_arg =
   Arg.(value & opt int 0 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -157,6 +159,28 @@ let build_workload ~option ~spec ~seed ~region_size ~cascade =
 
 let ( let+ ) r f = Result.map f r
 
+let ( let* ) = Result.bind
+
+(* A cut naming a node outside the topology severs no link, yet any
+   --faults value moves the run onto ARQ: an option error, like a
+   region the topology cannot hold. *)
+let check_cuts graph faults =
+  let outside id = not (Graph.mem_node id graph) in
+  let endpoints =
+    List.concat_map
+      (fun (c : Faults.cut) -> [ c.a; c.b ])
+      (Option.fold ~none:[] ~some:(fun (plan : Faults.t) -> plan.cuts) faults)
+  in
+  match List.find_opt outside endpoints with
+  | None -> Ok ()
+  | Some id ->
+      Error
+        (`Msg
+          (Format.asprintf
+             "option '--faults': cut endpoint %a is not in the topology (the \
+              topology has %d nodes)"
+             Node_id.pp id (Graph.node_count graph)))
+
 (* Node ids named on the command line must be nodes of the topology. *)
 let node_of_graph graph i =
   if i >= 0 && Graph.mem_node (Node_id.of_int i) graph then Node_id.of_int i
@@ -171,9 +195,10 @@ let node_of_graph graph i =
 let run_cmd =
   let action spec seed region_size cascade no_early raw_fd msg_latency fd_latency
       faults transport timeline =
-    let+ graph, crashes, _ =
+    let* graph, crashes, _ =
       build_workload ~option:"--region-size" ~spec ~seed ~region_size ~cascade
     in
+    let+ () = check_cuts graph faults in
     let scenario =
       Scenario.make
         ~options:
@@ -330,9 +355,10 @@ let trace_cmd =
           exit 2
         end)
       kinds;
-    let+ graph, crashes, _ =
+    let* graph, crashes, _ =
       build_workload ~option:"--region-size" ~spec ~seed ~region_size ~cascade
     in
+    let+ () = check_cuts graph faults in
     let nodes = List.map (node_of_graph graph) nodes in
     let instance = Option.map (view_of_key graph) instance in
     let outcome =

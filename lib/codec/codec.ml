@@ -35,10 +35,20 @@ let write_vector value w vec =
           value.write w v)
     vec
 
+(* [write_vector] emits ids in increasing order, so anything else is not
+   an encoding of any vector. *)
 let read_vector value r =
+  let previous = ref (-1) in
   let entries =
     Wire.read_list r (fun () ->
-        let p = Node_id.of_int (Wire.read_varint r) in
+        let id = Wire.read_varint r in
+        if id <= !previous then
+          raise
+            (Wire.Decode_error
+               (Printf.sprintf "opinion id %d after %d: ids must ascend" id
+                  !previous));
+        previous := id;
+        let p = Node_id.of_int id in
         match Wire.read_u8 r with
         | 0 -> (p, Opinion.Reject)
         | 1 -> (p, Opinion.Accept (value.read r))

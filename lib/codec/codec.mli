@@ -30,7 +30,10 @@ val encode : 'v value -> 'v Cliffedge.Message.t -> string
 val decode : 'v value -> string -> 'v Cliffedge.Message.t
 (** Inverse of {!encode}; consumes the whole input.
     @raise Wire.Decode_error on anything malformed: bad magic,
-    unsupported version, unknown kind, truncation or trailing bytes. *)
+    unsupported version, unknown kind, truncation, trailing bytes, an
+    overflowing or non-minimal varint, or opinion ids out of order.
+    With {!string_value} or {!int_value}, input that decodes re-encodes
+    to the same bytes. *)
 
 val version : int
 (** Current wire version (encoded in every frame). *)

@@ -18,9 +18,9 @@ let parse_varint_prefix s =
     if i >= String.length s then None
     else
       let byte = Char.code s.[i] in
+      Wire.check_varint_byte ~pos:i ~shift byte;
       let acc = acc lor ((byte land 0x7f) lsl shift) in
       if byte land 0x80 = 0 then Some (acc, i + 1)
-      else if shift > 56 then raise (Wire.Decode_error "frame length varint too long")
       else loop (i + 1) (shift + 7) acc
   in
   loop 0 0 0

@@ -22,7 +22,7 @@ val feed : decoder -> string -> string list
 (** [feed d chunk] consumes the next chunk of the stream and returns the
     payloads of every frame completed by it, in stream order.
     @raise Wire.Decode_error when a length prefix exceeds
-    {!max_frame_length}. *)
+    {!max_frame_length} or breaks {!Wire.check_varint_byte}. *)
 
 val pending_bytes : decoder -> int
 (** Bytes buffered towards an incomplete frame. *)

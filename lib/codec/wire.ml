@@ -40,10 +40,17 @@ let write_varint w v =
   in
   loop v
 
+(* The ninth byte holds bits 56-62, and bit 62 is an OCaml int's sign
+   bit, so it may carry six payload bits and no continuation.  A zero
+   final byte after the first adds nothing: the writer never emits one. *)
+let check_varint_byte ~pos ~shift byte =
+  if shift >= 56 && byte > 0x3f then fail pos "varint overflows a non-negative int"
+  else if shift > 0 && byte = 0 then fail pos "non-minimal varint"
+
 let read_varint r =
   let rec loop shift acc =
-    if shift > 62 then fail r.pos "varint too long";
     let byte = read_u8 r in
+    check_varint_byte ~pos:(r.pos - 1) ~shift byte;
     let acc = acc lor ((byte land 0x7f) lsl shift) in
     if byte land 0x80 = 0 then acc else loop (shift + 7) acc
   in
@@ -105,6 +112,8 @@ let read_int_set r =
   let previous = ref (-1) in
   List.init count (fun _ ->
       let delta = read_varint r in
+      if delta > max_int - 1 - !previous then
+        fail r.pos "set element overflows a non-negative int";
       let v = !previous + 1 + delta in
       previous := v;
       v)

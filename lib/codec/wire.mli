@@ -42,6 +42,18 @@ val write_varint : writer -> int -> unit
     @raise Invalid_argument on negatives. *)
 
 val read_varint : reader -> int
+(** Inverse of {!write_varint}; accepts only the bytes it writes.
+    @raise Decode_error on truncation and on any input that
+    {!check_varint_byte} rejects. *)
+
+val check_varint_byte : pos:int -> shift:int -> int -> unit
+(** The bounds rule of every varint reader, {!read_varint} and
+    {!Framing}'s length prefix alike: [byte], read at input offset
+    [pos], is the varint's byte at bit offset [shift].  The varint must
+    fit a non-negative [int] (at most nine bytes, the ninth without a
+    continuation bit and below [0x40]) and be minimal (no zero final
+    byte after the first).
+    @raise Decode_error otherwise. *)
 
 val write_bool : writer -> bool -> unit
 

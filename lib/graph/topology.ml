@@ -513,6 +513,18 @@ let spec_of_string s =
       | None -> Ok spec
       | Some m -> Error (Printf.sprintf "topology spec %S: %s" s m))
 
+(* [%g] keeps six significant digits, so it stays only when it reads
+   back exactly; 17 digits always do. *)
+let pp_spec_float ppf x =
+  let print fmt = Printf.sprintf fmt x in
+  let reads_back s =
+    match float_of_string_opt s with Some y -> Float.equal x y | None -> false
+  in
+  Format.pp_print_string ppf
+    (match List.find_opt reads_back [ print "%g"; print "%.15g"; print "%.16g" ] with
+    | Some s -> s
+    | None -> print "%.17g")
+
 let pp_spec ppf = function
   | Ring n -> Format.fprintf ppf "ring:%d" n
   | Path n -> Format.fprintf ppf "path:%d" n
@@ -521,11 +533,12 @@ let pp_spec ppf = function
   | Complete n -> Format.fprintf ppf "complete:%d" n
   | Star n -> Format.fprintf ppf "star:%d" n
   | Binary_tree n -> Format.fprintf ppf "tree:%d" n
-  | Erdos_renyi (n, p) -> Format.fprintf ppf "er:%d:%g" n p
-  | Watts_strogatz (n, k, beta) -> Format.fprintf ppf "ws:%d:%d:%g" n k beta
+  | Erdos_renyi (n, p) -> Format.fprintf ppf "er:%d:%a" n pp_spec_float p
+  | Watts_strogatz (n, k, beta) ->
+      Format.fprintf ppf "ws:%d:%d:%a" n k pp_spec_float beta
   | Barabasi_albert (n, m) -> Format.fprintf ppf "ba:%d:%d" n m
-  | Random_geometric (n, r) -> Format.fprintf ppf "geo:%d:%g" n r
+  | Random_geometric (n, r) -> Format.fprintf ppf "geo:%d:%a" n pp_spec_float r
   | Implicit_ring n -> Format.fprintf ppf "iring:%d" n
   | Implicit_torus (w, h) -> Format.fprintf ppf "itorus:%dx%d" w h
-  | Implicit_geometric (n, r) -> Format.fprintf ppf "igeo:%d:%g" n r
+  | Implicit_geometric (n, r) -> Format.fprintf ppf "igeo:%d:%a" n pp_spec_float r
   | Implicit_power_law n -> Format.fprintf ppf "iplaw:%d" n

@@ -116,3 +116,11 @@ val spec_of_string : string -> (spec, string) result
     naming the bound, not a deferred [Invalid_argument]. *)
 
 val pp_spec : Format.formatter -> spec -> unit
+(** Prints the description {!spec_of_string} parses back to the same
+    spec. *)
+
+val pp_spec_float : Format.formatter -> float -> unit
+(** Prints a float so that [float_of_string] reads back the same value:
+    as [%g] when that is exact, otherwise as the shortest of [%.15g],
+    [%.16g] and [%.17g] that is.  The spec printers share it: {!pp_spec},
+    [Latency.pp] and [Faults.pp]. *)

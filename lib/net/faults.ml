@@ -64,10 +64,17 @@ let of_string s =
           (Printf.sprintf "fault spec %S: %s must be a non-negative node id, got %S" s
              name raw)
   in
+  (* The separator is the first '-' that is neither a leading sign nor
+     an exponent's: [pp] prints a cut time of 1e-05 as "1e-05". *)
   let dashed name raw =
-    match String.split_on_char '-' raw with
-    | [ lo; hi ] -> Ok (lo, hi)
-    | _ -> Error (Printf.sprintf "fault spec %S: %s must be LO-HI, got %S" s name raw)
+    let separates i =
+      i > 0 && Char.equal raw.[i] '-'
+      && not (Char.equal raw.[i - 1] 'e' || Char.equal raw.[i - 1] 'E')
+    in
+    let n = String.length raw in
+    match List.find_opt separates (List.init n Fun.id) with
+    | Some i -> Ok (String.sub raw 0 i, String.sub raw (i + 1) (n - i - 1))
+    | None -> Error (Printf.sprintf "fault spec %S: %s must be LO-HI, got %S" s name raw)
   in
   let clause acc c =
     let* acc = acc in
@@ -93,12 +100,15 @@ let of_string s =
         let* a, b = dashed "cut pair" pair in
         let* a = node "cut endpoint" a in
         let* b = node "cut endpoint" b in
-        if from_time < until_time then
-          Ok { acc with cuts = acc.cuts @ [ { from_time; until_time; a; b } ] }
-        else
+        if not (from_time < until_time) then
           Error
             (Printf.sprintf "fault spec %S: empty cut window (%g >= %g)" s from_time
                until_time)
+        else if Node_id.equal a b then
+          Error
+            (Printf.sprintf "fault spec %S: cut endpoints must differ, got %d twice" s
+               (Node_id.to_int a))
+        else Ok { acc with cuts = acc.cuts @ [ { from_time; until_time; a; b } ] }
     | _ ->
         Error
           (Printf.sprintf
@@ -121,14 +131,14 @@ let pp ppf t =
           Format.pp_print_string ppf s)
         fmt
     in
-    if not (Float.equal t.drop 0.0) then item "drop:%g" t.drop;
-    if not (Float.equal t.dup 0.0) then item "dup:%g" t.dup;
+    (* [infinity] prints as "inf", which [time] reads back. *)
+    let num = Topology.pp_spec_float in
+    if not (Float.equal t.drop 0.0) then item "drop:%a" num t.drop;
+    if not (Float.equal t.dup 0.0) then item "dup:%a" num t.dup;
     if not (Int.equal t.reorder 0) then item "reorder:%d" t.reorder;
     List.iter
       (fun c ->
-        item "cut:%g-%s:%d-%d" c.from_time
-          (if Float.is_finite c.until_time then Printf.sprintf "%g" c.until_time
-           else "inf")
-          (Node_id.to_int c.a) (Node_id.to_int c.b))
+        item "cut:%a-%a:%d-%d" num c.from_time num c.until_time (Node_id.to_int c.a)
+          (Node_id.to_int c.b))
       t.cuts
   end

@@ -48,14 +48,15 @@ val of_string : string -> (t, string) result
     - [drop:P] — loss probability;
     - [dup:P] — duplication probability;
     - [reorder:K] — reordering bound (non-FIFO jitter);
-    - [cut:T1-T2:A-B] — partition nodes [A] and [B] (integer ids) from
-      virtual time [T1] until [T2]; [T2] may be [inf] for a permanent
-      partition.  Repeatable.
+    - [cut:T1-T2:A-B] — partition nodes [A] and [B] (distinct integer
+      ids) from virtual time [T1] until [T2]; [T2] may be [inf] for a
+      permanent partition.  Repeatable.
 
     Parameters are validated in the style of {!Latency.of_string}:
     probabilities outside [\[0, 1\]], non-finite or negative values,
-    negative reorder bounds and empty cut windows are rejected with a
-    descriptive error. *)
+    negative reorder bounds, empty cut windows and a cut from a node to
+    itself are rejected with a descriptive error.  Whether both
+    endpoints are nodes of the topology is the caller's check. *)
 
 val pp : Format.formatter -> t -> unit
 (** Round-trips with {!of_string}; prints ["none"] for the empty plan. *)

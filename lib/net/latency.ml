@@ -55,7 +55,9 @@ let of_string s =
         Error (Printf.sprintf "latency spec %S: mean must be positive, got %g" s mean)
   | _ -> fail ()
 
-let pp ppf = function
-  | Constant d -> Format.fprintf ppf "const:%g" d
-  | Uniform { min; max } -> Format.fprintf ppf "uniform:%g:%g" min max
-  | Exponential { min; mean } -> Format.fprintf ppf "exp:%g:%g" min mean
+let pp ppf =
+  let num = Cliffedge_graph.Topology.pp_spec_float in
+  function
+  | Constant d -> Format.fprintf ppf "const:%a" num d
+  | Uniform { min; max } -> Format.fprintf ppf "uniform:%a:%a" num min num max
+  | Exponential { min; mean } -> Format.fprintf ppf "exp:%a:%a" num min num mean

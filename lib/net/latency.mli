@@ -23,3 +23,4 @@ val of_string : string -> (t, string) result
     garbage. *)
 
 val pp : Format.formatter -> t -> unit
+(** Round-trips with {!of_string}. *)

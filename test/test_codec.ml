@@ -44,6 +44,38 @@ let test_truncated_varint () =
        false
      with Wire.Decode_error _ -> true)
 
+(* Only [Wire.Decode_error] counts as a rejection: any other exception
+   escapes and fails the test. *)
+let rejects f =
+  try
+    ignore (f ());
+    false
+  with Wire.Decode_error _ -> true
+
+(* Nine bytes whose last sets bit 62, the sign bit of a 63-bit int. *)
+let overflowing_varint = String.make 8 '\xff' ^ "\x7f"
+
+let test_varint_overflow_rejected () =
+  Alcotest.(check bool) "read_varint" true
+    (rejects (fun () -> Wire.read_varint (Wire.reader overflowing_varint)));
+  (* Read as an Outcome's view count, a negative varint would reach
+     [List.init]. *)
+  Alcotest.(check bool) "decode" true
+    (rejects (fun () ->
+         Codec.decode Codec.string_value ("\xce\x01\x01" ^ overflowing_varint)));
+  (* Each varint fits, but the second element, max_int + 1, does not. *)
+  let w = Wire.writer () in
+  List.iter (Wire.write_varint w) [ 2; max_int; 0 ];
+  Alcotest.(check bool) "int set element" true
+    (rejects (fun () -> Wire.read_int_set (Wire.reader (Wire.contents w))))
+
+let test_varint_non_minimal_rejected () =
+  List.iter
+    (fun data ->
+      Alcotest.(check bool) (String.escaped data) true
+        (rejects (fun () -> Wire.read_varint (Wire.reader data))))
+    [ "\x87\x00"; "\x80\x00"; "\xff\x80\x00" ]
+
 let test_string_roundtrip () =
   let w = Wire.writer () in
   Wire.write_string w "héllo\x00world";
@@ -210,6 +242,26 @@ let test_int_value_codec () =
       | _ -> Alcotest.fail "value lost")
   | _ -> Alcotest.fail "wrong shape"
 
+let test_opinion_ids_must_ascend () =
+  let encoding ids =
+    let w = Wire.writer () in
+    List.iter (Wire.write_u8 w) [ 0xce; Codec.version; 1 ];
+    Wire.write_int_set w [ 2 ];
+    Wire.write_int_set w [ 1; 3 ];
+    Wire.write_varint w (List.length ids);
+    List.iter
+      (fun id ->
+        Wire.write_varint w id;
+        Wire.write_u8 w 0)
+      ids;
+    Wire.contents w
+  in
+  ignore (Codec.decode Codec.string_value (encoding [ 1; 3 ]));
+  Alcotest.(check bool) "descending" true
+    (rejects (fun () -> Codec.decode Codec.string_value (encoding [ 3; 1 ])));
+  Alcotest.(check bool) "repeated" true
+    (rejects (fun () -> Codec.decode Codec.string_value (encoding [ 1; 1 ])))
+
 let test_golden_bytes_stable () =
   (* Wire stability: this exact encoding is part of the format contract;
      update [Codec.version] if it ever has to change. *)
@@ -274,6 +326,33 @@ let prop_random_bytes_never_crash =
       | Wire.Decode_error _ -> true
       | _ -> false)
 
+(* Property: a decoder that accepts only canonical bytes.  Every
+   one-byte mutation of a valid encoding (a bit flip or a replaced
+   byte) is rejected with [Wire.Decode_error] or decodes to a message
+   whose encoding is the mutated input itself. *)
+let gen_mutated =
+  QCheck2.Gen.(
+    let* msg = gen_message in
+    let encoded = Codec.encode Codec.string_value msg in
+    let* pos = int_bound (String.length encoded - 1) in
+    let* byte =
+      oneof
+        [
+          map (fun bit -> Char.code encoded.[pos] lxor (1 lsl bit)) (int_bound 7);
+          int_bound 255;
+        ]
+    in
+    let mutated = Bytes.of_string encoded in
+    Bytes.set mutated pos (Char.chr byte);
+    return (Bytes.to_string mutated))
+
+let prop_mutations_canonical =
+  QCheck2.Test.make ~name:"decoder accepts only canonical mutations" ~count:2000
+    ~print:String.escaped gen_mutated (fun data ->
+      match Codec.decode Codec.string_value data with
+      | msg -> String.equal (Codec.encode Codec.string_value msg) data
+      | exception Wire.Decode_error _ -> true)
+
 let suite =
   ( "codec",
     [
@@ -281,6 +360,8 @@ let suite =
       Alcotest.test_case "varint negative" `Quick test_varint_rejects_negative;
       Alcotest.test_case "varint compactness" `Quick test_varint_compactness;
       Alcotest.test_case "varint truncated" `Quick test_truncated_varint;
+      Alcotest.test_case "varint overflow" `Quick test_varint_overflow_rejected;
+      Alcotest.test_case "varint non-minimal" `Quick test_varint_non_minimal_rejected;
       Alcotest.test_case "string roundtrip" `Quick test_string_roundtrip;
       Alcotest.test_case "string length checked" `Quick test_string_length_checked;
       Alcotest.test_case "bool roundtrip" `Quick test_bool_roundtrip;
@@ -295,9 +376,11 @@ let suite =
       Alcotest.test_case "all truncations rejected" `Quick test_truncation_rejected;
       Alcotest.test_case "trailing bytes rejected" `Quick test_trailing_bytes_rejected;
       Alcotest.test_case "int value codec" `Quick test_int_value_codec;
+      Alcotest.test_case "opinion ids ascend" `Quick test_opinion_ids_must_ascend;
       Alcotest.test_case "golden bytes" `Quick test_golden_bytes_stable;
       QCheck_alcotest.to_alcotest prop_roundtrip;
       QCheck_alcotest.to_alcotest prop_random_bytes_never_crash;
+      QCheck_alcotest.to_alcotest prop_mutations_canonical;
     ] )
 
 (* ---------------- stream framing ---------------- *)
@@ -346,6 +429,11 @@ let test_framing_oversize_rejected () =
        false
      with Wire.Decode_error _ -> true)
 
+let test_framing_overflow_rejected () =
+  (* A negative frame length would reach [String.sub]. *)
+  Alcotest.(check bool) "raises" true
+    (rejects (fun () -> Framing.feed (Framing.decoder ()) overflowing_varint))
+
 let prop_framing_random_chunking =
   QCheck2.Test.make ~name:"framing survives arbitrary chunking" ~count:300
     QCheck2.Gen.(
@@ -374,5 +462,6 @@ let suite =
         Alcotest.test_case "framing byte-by-byte" `Quick test_framing_byte_by_byte;
         Alcotest.test_case "framing split prefix" `Quick test_framing_split_inside_prefix;
         Alcotest.test_case "framing oversize" `Quick test_framing_oversize_rejected;
+        Alcotest.test_case "framing overflow" `Quick test_framing_overflow_rejected;
         QCheck_alcotest.to_alcotest prop_framing_random_chunking;
       ] )

@@ -124,6 +124,65 @@ let test_faults_pp_roundtrip () =
       | Error e -> Alcotest.fail e)
     [ "none"; "drop:0.1"; "drop:0.1,dup:0.02,reorder:3,cut:12-30:4-9" ]
 
+let test_faults_reject_self_cut () =
+  match Faults.of_string "cut:0-10:3-3" with
+  | Error e ->
+      Alcotest.(check string) "error"
+        "fault spec \"cut:0-10:3-3\": cut endpoints must differ, got 3 twice" e
+  | Ok _ -> Alcotest.fail "a cut from a node to itself severs nothing"
+
+(* Times and probabilities are either short decimals, which [%g] prints
+   exactly, or full-precision draws, which need up to 17 digits; times
+   below 1e-4 print with an exponent's '-'. *)
+let decimal_or_draw hi =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun k -> float_of_int k /. 1000.) (int_range 0 (int_of_float (hi *. 1000.)));
+        float_bound_inclusive hi;
+        float_bound_inclusive 1e-4;
+      ])
+
+let gen_latency =
+  QCheck2.Gen.(
+    let t = decimal_or_draw 1000.0 in
+    oneof
+      [
+        map (fun d -> Latency.Constant d) t;
+        map2
+          (fun a b -> Latency.Uniform { min = Float.min a b; max = Float.max a b })
+          t t;
+        map2
+          (fun min mean -> Latency.Exponential { min; mean })
+          t (float_range 1e-9 1000.0);
+      ])
+
+let prop_latency_pp_roundtrip =
+  QCheck2.Test.make ~name:"latency of_string reads back pp" ~count:500
+    ~print:(Format.asprintf "%a" Latency.pp) gen_latency (fun m ->
+      Latency.of_string (Format.asprintf "%a" Latency.pp m) = Ok m)
+
+let gen_faults =
+  QCheck2.Gen.(
+    let prob = decimal_or_draw 1.0 in
+    let cut =
+      let* t1 = decimal_or_draw 1000.0 and* t2 = decimal_or_draw 1000.0 in
+      let* a = int_bound 100 and* gap = int_range 1 100 in
+      let from_time, until_time =
+        if t1 < t2 then (t1, t2) else if t2 < t1 then (t2, t1) else (t1, infinity)
+      in
+      return
+        { Faults.from_time; until_time; a = Node_id.of_int a; b = Node_id.of_int (a + gap) }
+    in
+    let* drop = prob and* dup = prob and* reorder = int_bound 5 in
+    let+ cuts = list_size (int_bound 3) cut in
+    { Faults.drop; dup; reorder; cuts })
+
+let prop_faults_pp_roundtrip =
+  QCheck2.Test.make ~name:"faults of_string reads back pp" ~count:500
+    ~print:(Format.asprintf "%a" Faults.pp) gen_faults (fun plan ->
+      Faults.of_string (Format.asprintf "%a" Faults.pp plan) = Ok plan)
+
 let test_faults_cut_active () =
   match Faults.of_string "cut:10-20:1-2" with
   | Error e -> Alcotest.fail e
@@ -220,7 +279,10 @@ let suite =
       Alcotest.test_case "validation errors" `Quick test_latency_validation_errors;
       Alcotest.test_case "faults parse" `Quick test_faults_parse;
       Alcotest.test_case "faults pp roundtrip" `Quick test_faults_pp_roundtrip;
+      Alcotest.test_case "faults reject self cut" `Quick test_faults_reject_self_cut;
       Alcotest.test_case "faults cut active" `Quick test_faults_cut_active;
+      QCheck_alcotest.to_alcotest prop_latency_pp_roundtrip;
+      QCheck_alcotest.to_alcotest prop_faults_pp_roundtrip;
       Alcotest.test_case "stats counters" `Quick test_stats_counters;
       Alcotest.test_case "stats fault counters" `Quick test_stats_fault_counters;
       Alcotest.test_case "dot output" `Quick test_dot_output;

@@ -167,6 +167,44 @@ let test_spec_accepted_builds () =
       ("iplaw:7", false); ("iplaw:8", true);
     ]
 
+(* Parameters are either short decimals, which [%g] prints exactly, or
+   full-precision draws, which need up to 17 digits. *)
+let gen_spec =
+  QCheck2.Gen.(
+    let size lo = int_range lo 5000 in
+    let side lo = int_range lo 100 in
+    let param hi =
+      oneof
+        [ map (fun k -> float_of_int k /. 1000.) (int_range 1 (int_of_float (hi *. 1000.)));
+          float_range 1e-9 hi ]
+    in
+    oneof
+      [
+        map (fun n -> Topology.Ring n) (size 3);
+        map (fun n -> Topology.Path n) (size 2);
+        map2 (fun w h -> Topology.Grid (w, h)) (side 2) (side 1);
+        map2 (fun w h -> Topology.Torus (w, h)) (side 3) (side 3);
+        map (fun n -> Topology.Complete n) (size 2);
+        map (fun n -> Topology.Star n) (size 2);
+        map (fun n -> Topology.Binary_tree n) (size 2);
+        map2 (fun n p -> Topology.Erdos_renyi (n, p)) (size 2) (param 1.0);
+        (let* n = size 4 in
+         let* half = int_range 1 ((n - 1) / 2) in
+         map (fun beta -> Topology.Watts_strogatz (n, 2 * half, beta)) (param 1.0));
+        (let* m = int_range 1 10 in
+         map (fun n -> Topology.Barabasi_albert (n, m)) (size (m + 2)));
+        map2 (fun n r -> Topology.Random_geometric (n, r)) (size 2) (param 10.0);
+        map (fun n -> Topology.Implicit_ring n) (size 3);
+        map2 (fun w h -> Topology.Implicit_torus (w, h)) (side 3) (side 3);
+        map2 (fun n r -> Topology.Implicit_geometric (n, r)) (size 2) (param 1.0);
+        map (fun n -> Topology.Implicit_power_law n) (size 8);
+      ])
+
+let prop_spec_pp_roundtrip =
+  QCheck2.Test.make ~name:"spec_of_string reads back pp_spec" ~count:500
+    ~print:(Format.asprintf "%a" Topology.pp_spec) gen_spec (fun spec ->
+      Topology.spec_of_string (Format.asprintf "%a" Topology.pp_spec spec) = Ok spec)
+
 let suite =
   ( "topology",
     [
@@ -187,4 +225,5 @@ let suite =
       Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
       Alcotest.test_case "spec rejects garbage" `Quick test_spec_rejects_garbage;
       Alcotest.test_case "accepted specs build" `Quick test_spec_accepted_builds;
+      QCheck_alcotest.to_alcotest prop_spec_pp_roundtrip;
     ] )

@@ -22,7 +22,7 @@ type fn = {
   loc : Ppxlib.Location.t;  (** whole-binding span *)
   body : Ppxlib.expression;
   attrs : Ppxlib.attributes;
-      (** the binding's attributes, e.g. [[@lint.parallel_entry]] *)
+      (** the binding's attributes, e.g. [[@lint.hot_path]] *)
   mutable calls : call list;  (** identifier occurrences, source order *)
 }
 

@@ -19,7 +19,6 @@ let registry : Rule.t list =
     Rules_send_locality.rule;
     Rules_exn_flow.rule;
     Rules_taint.rule;
-    Rules_domain_safety.rule;
     Rules_alloc.rule;
   ]
 

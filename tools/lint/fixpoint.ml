@@ -35,32 +35,6 @@ module Bool_lattice = struct
   let join = ( || )
 end
 
-(* Finite powerset of strings as sorted duplicate-free lists: the
-   mutable-root reachability lattice of the domain-safety rule (each
-   function's value is the set of root names it may touch).  Height is
-   bounded by the number of roots in the batch, so termination is
-   inherited from the generic budget. *)
-module String_set_lattice = struct
-  type t = string list
-
-  let bottom = []
-
-  let equal = List.equal String.equal
-
-  let rec join a b =
-    match (a, b) with
-    | [], l | l, [] -> l
-    | x :: xs, y :: ys ->
-        let c = String.compare x y in
-        if c < 0 then x :: join xs b
-        else if c > 0 then y :: join a ys
-        else x :: join xs ys
-
-  let singleton x = [ x ]
-
-  let mem x l = List.exists (String.equal x) l
-end
-
 module Make (L : LATTICE) = struct
   type stats = { iterations : int }
 

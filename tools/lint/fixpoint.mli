@@ -28,19 +28,6 @@ module Bool_lattice : LATTICE with type t = bool
 (** The two-point lattice ([false] ⊑ [true], join = [(||)]) used by the
     reachability and taint closures. *)
 
-module String_set_lattice : sig
-  include LATTICE with type t = string list
-
-  val singleton : string -> t
-
-  val mem : string -> t -> bool
-end
-(** Finite powerset of strings as sorted duplicate-free lists (join =
-    union), used by the domain-safety rule as its mutable-root
-    reachability lattice.  Values handed to [join]/[equal] must be
-    sorted and duplicate-free — [bottom] and [singleton] are, and
-    [join] preserves it. *)
-
 module Make (L : LATTICE) : sig
   type stats = { iterations : int }
 

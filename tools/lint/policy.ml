@@ -50,10 +50,6 @@ let applies ~rule ~component ~basename =
         String.equal component "lib/codec" || String.equal component "lib/net"
     (* Everything under lib/ must draw entropy through lib/prng. *)
     | "nondet-taint" -> in_lib component && not (String.equal component "lib/prng")
-    (* CD6's shadow: concurrent proposals must commute, so parallel
-       entry points may not share mutable roots.  Opt-in at the
-       [@lint.parallel_entry] annotation, enforced tree-wide. *)
-    | "domain-safety" -> true
     (* The hot-path budget's shadow: the Deliver fast path only stays
        cheap if its certified loops allocate nothing.  Opt-in at the
        [@lint.hot_path] annotation, enforced tree-wide. *)
@@ -72,7 +68,6 @@ let scope_doc = function
   | "decide-once" | "send-locality" -> "`lib/core`"
   | "exception-flow" -> "`lib/codec`, `lib/net`"
   | "nondet-taint" -> "`lib/**` but `lib/prng`"
-  | "domain-safety" -> "everywhere (`[@lint.parallel_entry]` opt-in)"
   | "hot-path-alloc" -> "everywhere (`[@lint.hot_path]` opt-in)"
   | _ -> "everywhere"
 

@@ -32,7 +32,7 @@
    exempt by design and documented at the annotation.  A function
    annotated [@lint.hot_path] must come out allocation-free; the
    diagnostic carries a shortest-path witness to the first allocating
-   construct, same UX as the nondet-taint and domain-safety witnesses.
+   construct, same UX as the nondet-taint witness.
 
    The static certificate is deliberately path-INsensitive: a function
    whose fast path allocates nothing but whose rare branch allocates
@@ -279,9 +279,9 @@ let first_site ~(g : Callgraph.t) ~(fn : Callgraph.fn)
 
 module May_alloc = Fixpoint.Make (Fixpoint.Bool_lattice)
 
-(* Same build-dependency pruning as the domain-safety rule: libraries
-   under lib/ never link against tools/ or bench/ executables, so
-   last-segment resolution into another top-level tree is impossible. *)
+(* Build-dependency pruning: libraries under lib/ never link against
+   tools/ or bench/ executables, so last-segment resolution into another
+   top-level tree is impossible. *)
 let top_dir rel =
   match String.index_opt rel '/' with
   | Some i -> String.sub rel 0 i
