@@ -36,14 +36,8 @@ let usage () =
   print_endline "  micro  bechamel micro-benchmarks";
   print_endline "  smoke  one tiny micro-bench; with --json, validates the output file";
   print_endline
-    "  check-lint FILE  validate the lint_timings section cliffedge-lint \
-     --bench-json merges";
-  print_endline
     "  check-trace FILE  validate a Chrome trace_event file written by \
      cliffedge-cli trace --format chrome";
-  print_endline
-    "  check-sarif FILE  validate a SARIF 2.1.0 file written by \
-     cliffedge-lint --sarif";
   print_endline
     "  alloc  dynamic zero-alloc assertions: Gc.minor_words per op for \
      every [@lint.hot_path] entry, against its measured budget";
@@ -51,8 +45,7 @@ let usage () =
     "  compare OLD.json NEW.json [--threshold PCT] [--alloc-threshold PCT]";
   print_endline
     "         regression gate: fail if a micro benchmark present in both \
-     files got slower than OLD by more than PCT% (default 15); with \
-     --json FILE, also write a machine-readable verdict";
+     files got slower than OLD by more than PCT% (default 15)";
   print_endline "options:";
   print_endline "  --csv DIR    also write every table to DIR/<slug>.csv";
   print_endline "  --json FILE  merge machine-readable timings into FILE (see BENCH_PR1.json)"
@@ -76,50 +69,10 @@ let validate_json file sections =
       end;
       Printf.printf "json ok: %s (%s)\n" file (String.concat ", " sections)
 
-(* Validates the [lint_timings] section that `cliffedge-lint
-   --bench-json FILE` merges next to the [micro]/[x16] series: per-rule
-   wall-times keyed by rule id, plus the file count and total.  Guards
-   the lint emitter and this harness's consumers against drifting
-   apart, exactly like [validate_json] does for the bench emitter. *)
-let check_lint_timings file =
-  let fail fmt =
-    Printf.ksprintf
-      (fun message ->
-        Printf.eprintf "bench: %s: %s\n" file message;
-        exit 1)
-      fmt
-  in
-  match Json.of_file file with
-  | Error message -> fail "does not parse: %s" message
-  | Ok root -> (
-      match Json.member "lint_timings" root with
-      | None -> fail "missing section: lint_timings"
-      | Some section ->
-          let number key =
-            match Json.member key section with
-            | Some (Json.Int _ | Json.Float _) -> ()
-            | Some _ -> fail "lint_timings.%s is not a number" key
-            | None -> fail "lint_timings is missing %s" key
-          in
-          number "files";
-          number "total_ms";
-          (match Json.member "rules_ms" section with
-          | Some (Json.Obj fields) when fields <> [] ->
-              List.iter
-                (fun (rule, v) ->
-                  match v with
-                  | Json.Int _ | Json.Float _ -> ()
-                  | _ -> fail "lint_timings.rules_ms.%s is not a number" rule)
-                fields
-          | Some (Json.Obj []) -> fail "lint_timings.rules_ms is empty"
-          | Some _ -> fail "lint_timings.rules_ms is not an object"
-          | None -> fail "lint_timings is missing rules_ms");
-          Printf.printf "json ok: %s (lint_timings)\n" file)
-
 (* Validates a Chrome trace_event JSON file as written by `cliffedge-cli
    trace --format chrome`: the schema Perfetto/chrome://tracing load.
    Guards the exporter against drifting from the viewer contract, in
-   the same style as [check_lint_timings] for the lint emitter. *)
+   the same style as [validate_json] for the bench emitter. *)
 let check_trace file =
   let fail fmt =
     Printf.ksprintf
@@ -184,103 +137,6 @@ let check_trace file =
         [ "M"; "i"; "s"; "f" ];
       Printf.printf "trace ok: %s (%d event(s))\n" file (List.length events)
 
-(* Validates a SARIF 2.1.0 document as written by `cliffedge-lint
-   --sarif`: tool metadata, embedded rule registry, and well-formed
-   result locations.  Guards the lint exporter against drifting from
-   what SARIF viewers load, in the same style as [check_trace] for the
-   Chrome trace exporter. *)
-let check_sarif file =
-  let fail fmt =
-    Printf.ksprintf
-      (fun message ->
-        Printf.eprintf "bench: %s: %s\n" file message;
-        exit 1)
-      fmt
-  in
-  match Json.of_file file with
-  | Error message -> fail "does not parse: %s" message
-  | Ok root ->
-      (match Json.member "version" root with
-      | Some (Json.String "2.1.0") -> ()
-      | Some (Json.String v) -> fail "version %S, expected \"2.1.0\"" v
-      | Some _ -> fail "version is not a string"
-      | None -> fail "missing version");
-      let run =
-        match Json.member "runs" root with
-        | Some (Json.List [ run ]) -> run
-        | Some (Json.List runs) -> fail "%d run(s), expected 1" (List.length runs)
-        | Some _ -> fail "runs is not a list"
-        | None -> fail "missing runs"
-      in
-      let driver =
-        match Json.member "tool" run with
-        | Some tool -> (
-            match Json.member "driver" tool with
-            | Some driver -> driver
-            | None -> fail "runs[0].tool is missing driver")
-        | None -> fail "runs[0] is missing tool"
-      in
-      (match Json.member "name" driver with
-      | Some (Json.String _) -> ()
-      | _ -> fail "tool.driver.name is not a string");
-      let rules =
-        match Json.member "rules" driver with
-        | Some (Json.List (_ :: _ as rules)) -> rules
-        | Some (Json.List []) -> fail "tool.driver.rules is empty"
-        | Some _ -> fail "tool.driver.rules is not a list"
-        | None -> fail "tool.driver is missing rules"
-      in
-      let rule_ids =
-        List.mapi
-          (fun i rule ->
-            match Json.member "id" rule with
-            | Some (Json.String id) -> id
-            | _ -> fail "rules[%d].id is not a string" i)
-          rules
-      in
-      let results =
-        match Json.member "results" run with
-        | Some (Json.List results) -> results
-        | Some _ -> fail "runs[0].results is not a list"
-        | None -> fail "runs[0] is missing results"
-      in
-      List.iteri
-        (fun i result ->
-          (match Json.member "ruleId" result with
-          | Some (Json.String id) ->
-              if not (List.mem id rule_ids) then
-                fail "results[%d].ruleId %S is not a registered rule" i id
-          | _ -> fail "results[%d].ruleId is not a string" i);
-          (match Json.member "message" result with
-          | Some m -> (
-              match Json.member "text" m with
-              | Some (Json.String _) -> ()
-              | _ -> fail "results[%d].message.text is not a string" i)
-          | None -> fail "results[%d] is missing message" i);
-          match Json.member "locations" result with
-          | Some (Json.List (loc :: _)) -> (
-              match Json.member "physicalLocation" loc with
-              | Some phys -> (
-                  (match Json.member "artifactLocation" phys with
-                  | Some a -> (
-                      match Json.member "uri" a with
-                      | Some (Json.String _) -> ()
-                      | _ -> fail "results[%d] artifact uri is not a string" i)
-                  | None -> fail "results[%d] is missing artifactLocation" i);
-                  match Json.member "region" phys with
-                  | Some region -> (
-                      match Json.member "startLine" region with
-                      | Some (Json.Int _) -> ()
-                      | _ -> fail "results[%d].region.startLine is not an int" i)
-                  | None -> fail "results[%d] is missing region" i)
-              | None -> fail "results[%d] is missing physicalLocation" i)
-          | Some (Json.List []) -> fail "results[%d].locations is empty" i
-          | Some _ -> fail "results[%d].locations is not a list" i
-          | None -> fail "results[%d] is missing locations" i)
-        results;
-      Printf.printf "sarif ok: %s (%d rule(s), %d result(s))\n" file
-        (List.length rules) (List.length results)
-
 (* ------------------------------------------------------------------ *)
 (* compare: the ratcheting regression gate between two BENCH files.
 
@@ -300,7 +156,7 @@ let get_number key json =
   | Some (Json.Float f) -> Some f
   | Some _ | None -> None
 
-let compare_files ~threshold ~alloc_threshold ~json baseline candidate =
+let compare_files ~threshold ~alloc_threshold baseline candidate =
   let load file =
     match Json.of_file file with
     | Error message ->
@@ -332,13 +188,11 @@ let compare_files ~threshold ~alloc_threshold ~json baseline candidate =
   let regressions = ref [] in
   let compared = ref 0 and skipped = ref 0 and alloc_missing = ref 0 in
   let alloc_skipped = ref 0 in
-  let entries = ref [] in
   let check ~name ~metric ~pct ~slack old_v new_v =
     incr compared;
     let limit = (old_v *. (1.0 +. (pct /. 100.0))) +. slack in
-    let regressed = new_v > limit in
     let verdict =
-      if regressed then begin
+      if new_v > limit then begin
         regressions :=
           Printf.sprintf "%s [%s]: %.1f -> %.1f (limit %.1f at +%g%%)" name
             metric old_v new_v limit pct
@@ -347,18 +201,6 @@ let compare_files ~threshold ~alloc_threshold ~json baseline candidate =
       end
       else "ok"
     in
-    entries :=
-      Json.Obj
-        [
-          ("benchmark", Json.String name);
-          ("metric", Json.String metric);
-          ("status", Json.String (if regressed then "regressed" else "ok"));
-          ("baseline", Json.Float old_v);
-          ("candidate", Json.Float new_v);
-          ("ratio", Json.Float (if old_v > 0.0 then new_v /. old_v else 1.0));
-          ("limit", Json.Float limit);
-        ]
-      :: !entries;
     Printf.printf "  %-52s %-20s %12.1f -> %12.1f  %s\n" name metric old_v
       new_v verdict
   in
@@ -425,26 +267,6 @@ let compare_files ~threshold ~alloc_threshold ~json baseline candidate =
   if !alloc_skipped > 0 then
     Printf.printf "  (%d baseline alloc_cert row(s) absent from %s: skipped)\n"
       !alloc_skipped candidate;
-  let failed = !regressions <> [] in
-  Option.iter
-    (fun file ->
-      Json_out.write file
-        (Json.Obj
-           [
-             ("schema", Json.String "cliffedge-bench-compare/1");
-             ("baseline", Json.String baseline);
-             ("candidate", Json.String candidate);
-             ( "thresholds",
-               Json.Obj
-                 [
-                   ("time_pct", Json.Float threshold);
-                   ("alloc_pct", Json.Float alloc_threshold);
-                 ] );
-             ("verdict", Json.String (if failed then "fail" else "pass"));
-             ("metrics", Json.List (List.rev !entries));
-           ]);
-      Printf.printf "  verdict written to %s\n" file)
-    json;
   match !regressions with
   | [] ->
       Printf.printf "compare ok: %d metric(s) within thresholds\n" !compared
@@ -478,17 +300,21 @@ let compare_command rest =
     | [] -> ()
   in
   go rest;
+  (* --json FILE is stripped by the global option parser into
+     [Json_out.path]; compare records nothing, so it would be a silent
+     no-op. *)
+  if Json_out.enabled () then begin
+    prerr_endline "bench: compare writes no --json file";
+    exit 1
+  end;
   match List.rev !files with
   | [ baseline; candidate ] ->
-      (* --json FILE is stripped by the global option parser into
-         [Json_out.path]; for compare it names the verdict document,
-         not a timings merge target. *)
       compare_files ~threshold:!threshold ~alloc_threshold:!alloc_threshold
-        ~json:!Json_out.path baseline candidate
+        baseline candidate
   | _ ->
       prerr_endline
         "bench: compare needs OLD.json NEW.json [--threshold PCT] \
-         [--alloc-threshold PCT] [--json VERDICT.json]";
+         [--alloc-threshold PCT]";
       exit 1
 
 let run_experiment name =
@@ -529,17 +355,9 @@ let rec parse_options = function
 let () =
   match parse_options (List.tl (Array.to_list Sys.argv)) with
   | [ arg ] when List.mem arg [ "-h"; "--help"; "help" ] -> usage ()
-  | [ "check-lint"; file ] -> check_lint_timings file
-  | [ "check-lint" ] ->
-      prerr_endline "bench: check-lint needs a FILE argument";
-      exit 1
   | [ "check-trace"; file ] -> check_trace file
   | [ "check-trace" ] ->
       prerr_endline "bench: check-trace needs a FILE argument";
-      exit 1
-  | [ "check-sarif"; file ] -> check_sarif file
-  | [ "check-sarif" ] ->
-      prerr_endline "bench: check-sarif needs a FILE argument";
       exit 1
   | "alloc" :: rest -> Alloc_cert.command rest
   | "compare" :: rest -> compare_command rest

@@ -141,21 +141,40 @@ let options ~seed ~no_early ~raw_fd ~msg_latency ~fd_latency ~faults ~transport 
 
 (* A region size the topology cannot hold is an error against [option]
    (exit 124 through [Term.term_result], like a malformed spec), with
-   the bound [Fault_gen.check_size] states. *)
+   the bound [Fault_gen.check_size] states.  So is a crashed region with
+   no border: on a disconnected topology it can fill its whole component
+   (the seed node's component is too small, or the cascade exhausts it),
+   and then no correct node can decide, which CD7 would blame on the
+   protocol.  The seed node is drawn here, as [Fault_gen.connected_region]
+   draws it, so that the error can name it. *)
 let build_workload ~option ~spec ~seed ~region_size ~cascade =
   let rng = Prng.create seed in
   let graph = Topology.build rng spec in
   match Fault_gen.check_size graph ~size:region_size with
   | Error e -> Error (`Msg (Printf.sprintf "option '%s': %s" option e))
   | Ok () ->
-      let region = Fault_gen.connected_region rng graph ~size:region_size in
+      let seed_node = Node_set.random_element rng (Graph.nodes graph) in
+      let region =
+        Fault_gen.connected_region_from rng graph ~seed_node ~size:region_size
+      in
       let crashes, final_region =
         if cascade > 0 then
           Fault_gen.cascade rng graph ~seed_region:region ~depth:cascade
             ~start:10.0 ~interval:30.0
         else (Fault_gen.crash_at 10.0 region, region)
       in
-      Ok (graph, crashes, final_region)
+      if Node_set.is_empty (Graph.border graph final_region) then
+        Error
+          (`Msg
+            (Format.asprintf
+               "option '%s': the crashed region grown from seed node %a \
+                (size %d%s) fills its whole %d-node component and has no \
+                correct border node; the topology is disconnected"
+               option Node_id.pp seed_node region_size
+               (if cascade > 0 then Printf.sprintf ", --cascade %d" cascade
+                else "")
+               (Node_set.cardinal final_region)))
+      else Ok (graph, crashes, final_region)
 
 let ( let+ ) r f = Result.map f r
 

@@ -76,10 +76,6 @@ let read_string r =
   r.pos <- r.pos + len;
   s
 
-let write_list w write_element l =
-  write_varint w (List.length l);
-  List.iter write_element l
-
 let read_list r read_element =
   let count = read_varint r in
   (* A count can never exceed the remaining bytes (every element takes at

@@ -64,10 +64,6 @@ val write_string : writer -> string -> unit
 
 val read_string : reader -> string
 
-val write_list : writer -> ('a -> unit) -> 'a list -> unit
-(** Varint count followed by the elements; the element writer is
-    expected to close over the same {!writer}. *)
-
 val read_list : reader -> (unit -> 'a) -> 'a list
 
 val write_int_set : writer -> int list -> unit

@@ -34,7 +34,7 @@ let ok report = report.violations = []
 (* [events] cites the causal-log events that witness the violation
    (decision events, first offending sends, crash injections); empty
    when the outcome carries no log entries for them, e.g. fabricated
-   test outcomes or the exhaustive explorer. *)
+   test outcomes. *)
 let violate ?(events = []) property fmt =
   Format.kasprintf (fun description -> { property; description; events }) fmt
 
@@ -259,8 +259,8 @@ let check ?(value_equal = (( = ) [@lint.allow "no-poly-compare"]))
     (outcome : 'v Runner.outcome) =
   let graph = outcome.graph in
   (* The runner hands over the incrementally-maintained geometry; only
-     fabricated outcomes (tests, the exhaustive explorer) fall back to
-     the batch recomputation. *)
+     fabricated outcomes (tests) fall back to the batch
+     recomputation. *)
   let geometry =
     match outcome.geometry with
     | Some g -> g

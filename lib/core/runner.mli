@@ -33,7 +33,7 @@ type 'v decision = {
   event : int option;
       (** seq of the [Decide] event in the outcome's causal log;
           [None] only for outcomes fabricated outside the runner
-          (tests, the exhaustive explorer) *)
+          (tests) *)
 }
 
 type options = {

@@ -74,12 +74,6 @@ let is_crashed t p =
   let i = Node_id.to_int p in
   i < Array.length t.crash_times && not (Float.is_nan t.crash_times.(i))
 
-let crash_time t p =
-  let i = Node_id.to_int p in
-  if i < Array.length t.crash_times && not (Float.is_nan t.crash_times.(i)) then
-    Some t.crash_times.(i)
-  else None
-
 let crashed_nodes t = t.crashed
 
 (* Rare by construction: latency sampling, an engine closure and float

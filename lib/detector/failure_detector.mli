@@ -73,6 +73,3 @@ val inject_false_suspicion : t -> observer:Node_id.t -> target:Node_id.t -> unit
 val is_crashed : t -> Node_id.t -> bool
 
 val crashed_nodes : t -> Node_set.t
-
-val crash_time : t -> Node_id.t -> float option
-(** Virtual time at which the node crashed, if it did. *)

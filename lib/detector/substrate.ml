@@ -208,5 +208,3 @@ let schedule_crashes t crashes =
     crashes
 
 let run ~max_events t = Engine.run ~max_events t.engine
-
-let quiescent t = Engine.pending t.engine = 0

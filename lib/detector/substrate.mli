@@ -116,6 +116,3 @@ val schedule_crashes : 'a t -> (float * Node_id.t) list -> unit
 
 val run : max_events:int -> 'a t -> unit
 (** Runs the engine to quiescence or the event cap. *)
-
-val quiescent : 'a t -> bool
-(** No pending events remain. *)

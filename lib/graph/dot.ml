@@ -28,9 +28,3 @@ let pp ?(style = default_style) ppf g =
   Format.fprintf ppf "}@."
 
 let to_string ?style g = Format.asprintf "%a" (pp ?style) g
-
-let write_file ?style path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?style g))

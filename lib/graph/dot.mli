@@ -16,6 +16,3 @@ val to_string : ?style:style -> Graph.t -> string
 (** DOT source for the graph. *)
 
 val pp : ?style:style -> Format.formatter -> Graph.t -> unit
-
-val write_file : ?style:style -> string -> Graph.t -> unit
-(** Writes DOT source to the given path. *)

@@ -55,10 +55,6 @@ let create graph =
 
 let graph t = t.graph
 
-let faulty_count t = t.count
-
-let is_faulty t p = Hashtbl.mem t.parent (Node_id.to_int p)
-
 (* Path-halving find over a sparse parent table. *)
 let rec find parent i =
   match Hashtbl.find_opt parent i with

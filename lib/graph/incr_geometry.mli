@@ -27,10 +27,6 @@ val crash : t -> Node_id.t -> unit
     drops the node and gains its correct neighbours, and the cluster
     relation absorbs the node's incident edges.  Idempotent. *)
 
-val is_faulty : t -> Node_id.t -> bool
-
-val faulty_count : t -> int
-
 val domains : t -> Node_set.t list
 (** Current faulty domains, in increasing order of minimum element —
     element-for-element what [Fault_geometry.domains (compute …)] would

@@ -48,9 +48,7 @@ let msb x =
   if !x lsr 1 <> 0 then incr r;
   !r
 
-(* Bits of [x] strictly below / strictly above position [b]. *)
-let bits_below b x = x land ((1 lsl b) - 1)
-
+(* Bits of [x] strictly above position [b]. *)
 let bits_above b x = if b >= word_bits - 1 then 0 else (x lsr (b + 1)) lsl (b + 1)
 
 let trim a =
@@ -263,16 +261,7 @@ let exists p t =
 
 let for_all p t = not (exists (fun x -> not (p x)) t)
 
-let find_first_opt p t =
-  try
-    iter (fun x -> if p x then raise (Found x)) t;
-    None
-  with Found x -> Some x
-
-let find_first p t =
-  match find_first_opt p t with Some x -> x | None -> raise Not_found
-
-(* Descending iteration, for the [max]/[rev] family. *)
+(* Descending iteration: builds [elements] without a reversal. *)
 let rev_iter f t =
   for w = Array.length t - 1 downto 0 do
     let base = w * word_bits in
@@ -284,21 +273,10 @@ let rev_iter f t =
     done
   done
 
-let find_last_opt p t =
-  try
-    rev_iter (fun x -> if p x then raise (Found x)) t;
-    None
-  with Found x -> Some x
-
-let find_last p t =
-  match find_last_opt p t with Some x -> x | None -> raise Not_found
-
 let elements t =
   let res = ref [] in
   rev_iter (fun x -> res := x :: !res) t;
   !res
-
-let to_list = elements
 
 let min_elt_opt t =
   let len = Array.length t in
@@ -310,25 +288,13 @@ let min_elt_opt t =
   in
   go 0
 
-let min_elt t = match min_elt_opt t with Some x -> x | None -> raise Not_found
-
 let max_elt_opt t =
   let len = Array.length t in
   if len = 0 then None
   else Some (Node_id.of_int (((len - 1) * word_bits) + msb t.(len - 1)))
 
-let max_elt t = match max_elt_opt t with Some x -> x | None -> raise Not_found
-
-let choose = min_elt
-
-let choose_opt = min_elt_opt
-
-let find x t = if mem x t then x else raise Not_found
-
-let find_opt x t = if mem x t then Some x else None
-
 (* ------------------------------------------------------------------ *)
-(* Bulk construction and higher-order transforms                       *)
+(* Bulk construction and filtering                                     *)
 
 let of_list l =
   match l with
@@ -342,8 +308,6 @@ let of_list l =
           r.(i / word_bits) <- r.(i / word_bits) lor (1 lsl (i mod word_bits)))
         l;
       r
-
-let map f t = fold (fun x acc -> add (f x) acc) t empty
 
 let filter p t =
   let len = Array.length t in
@@ -361,66 +325,6 @@ let filter p t =
       t;
     if !dropped then trim r else t
   end
-
-let filter_map f t =
-  let changed = ref false in
-  let r =
-    fold
-      (fun x acc ->
-        match f x with
-        | Some y ->
-            if not (Node_id.equal x y) then changed := true;
-            add y acc
-        | None ->
-            changed := true;
-            acc)
-      t empty
-  in
-  if !changed then r else t
-
-let partition p t =
-  let len = Array.length t in
-  let yes = Array.make len 0 and no = Array.make len 0 in
-  iter
-    (fun x ->
-      let i = Node_id.to_int x in
-      let dst = if p x then yes else no in
-      dst.(i / word_bits) <- dst.(i / word_bits) lor (1 lsl (i mod word_bits)))
-    t;
-  (trim yes, trim no)
-
-let split x t =
-  let i = Node_id.to_int x in
-  let w = i / word_bits and b = i mod word_bits in
-  let len = Array.length t in
-  if w >= len then (t, false, empty)
-  else begin
-    let lo = Array.make (w + 1) 0 in
-    Array.blit t 0 lo 0 w;
-    lo.(w) <- bits_below b t.(w);
-    let hi = Array.make len 0 in
-    Array.blit t (w + 1) hi (w + 1) (len - w - 1);
-    hi.(w) <- bits_above b t.(w);
-    (trim lo, (t.(w) lsr b) land 1 = 1, trim hi)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Sequences                                                           *)
-
-let to_seq t = List.to_seq (elements t)
-
-let to_rev_seq t =
-  let res = ref [] in
-  iter (fun x -> res := x :: !res) t;
-  List.to_seq !res
-
-let to_seq_from x t =
-  let _, present, hi = split x t in
-  to_seq (if present then add x hi else hi)
-
-let add_seq s t = Seq.fold_left (fun acc x -> add x acc) t s
-
-let of_seq s = add_seq s empty
 
 (* ------------------------------------------------------------------ *)
 (* Repository-specific helpers                                         *)

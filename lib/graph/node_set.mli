@@ -2,9 +2,10 @@
 
     Node sets are the currency of the whole system: crashed regions,
     borders, waiting sets and proposed views are all values of this type.
-    The module exposes the full [Set.S] interface of the standard
-    functorial set (plus the helpers the protocol and its checker need),
-    but is backed by an immutable chunked bitset — an [int array] of
+    The module exposes the operations of the standard functorial set
+    ([Set.S]) that the repository calls, with their [Set.S] meaning
+    (plus the helpers the protocol and its checker need), but is backed
+    by an immutable chunked bitset — an [int array] of
     63-bit words in canonical form — so [union], [inter], [diff],
     [subset], [cardinal] and friends are word-parallel loops instead of
     AVL-tree walks.  Identifiers are dense small integers throughout the
@@ -17,7 +18,39 @@
     element order, so the swap is observationally equivalent to the old
     tree-backed module. *)
 
-include Set.S with type elt = Node_id.t
+type elt = Node_id.t
+
+type t
+
+(** {1 Set operations}
+
+    As in [Set.S]. *)
+
+val empty : t
+val is_empty : t -> bool
+val mem : elt -> t -> bool
+val add : elt -> t -> t
+val singleton : elt -> t
+val remove : elt -> t -> t
+val union : t -> t -> t
+val inter : t -> t -> t
+val diff : t -> t -> t
+val disjoint : t -> t -> bool
+val subset : t -> t -> bool
+val equal : t -> t -> bool
+val compare : t -> t -> int
+val cardinal : t -> int
+val iter : (elt -> unit) -> t -> unit
+val fold : (elt -> 'acc -> 'acc) -> t -> 'acc -> 'acc
+val for_all : (elt -> bool) -> t -> bool
+val exists : (elt -> bool) -> t -> bool
+val filter : (elt -> bool) -> t -> t
+val elements : t -> elt list
+val of_list : elt list -> t
+val min_elt_opt : t -> elt option
+val max_elt_opt : t -> elt option
+
+(** {1 Repository helpers} *)
 
 val hash : t -> int
 (** A fingerprint of the set contents; equal sets hash equally.  Every

@@ -8,8 +8,10 @@
     search is over the reachable state graph rather than the (much
     larger) tree of schedules.
 
-    Safety (CD1, CD2, CD5, CD6 and the locality envelope CD3) is
-    checked at every decision; the liveness properties (CD4, CD7) are
+    The explorer runs its own property checks; it does not call
+    {!Cliffedge.Checker}.  CD1, CD2 and CD5 are checked at every
+    decision.  The locality envelope CD3 (over every message sent), CD6
+    among correct deciders and the liveness properties CD4 and CD7 are
     checked at quiescent leaves, where no move is enabled.
 
     The detector semantics is a parameter, mirroring the finding of

@@ -149,7 +149,4 @@ let flush_time t ~src ~dst =
   Option.value ~default:neg_infinity
     (Hashtbl.find_opt t.last_delivery (pack ~src ~dst))
 
-let multicast t ?units ~src ~dsts payload =
-  Node_set.iter (fun dst -> send t ?units ~src ~dst payload) dsts
-
 let stats t = t.stats

@@ -53,11 +53,6 @@ val send : 'a t -> ?units:int -> src:Node_id.t -> dst:Node_id.t -> 'a -> unit
     (crashed nodes cannot act); sends to crashed nodes are dropped at
     delivery time. *)
 
-val multicast :
-  'a t -> ?units:int -> src:Node_id.t -> dsts:Node_set.t -> 'a -> unit
-(** The paper's best-effort multicast: a plain loop of point-to-point
-    sends.  No guarantee beyond the underlying channels. *)
-
 val crash : 'a t -> Node_id.t -> unit
 (** Marks a node as crashed from the current virtual time on. *)
 

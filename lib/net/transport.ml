@@ -11,20 +11,6 @@ type policy = {
 
 let default_policy = { rto = 25.0; backoff = 2.0; rto_cap = 200.0; max_retries = 30 }
 
-let validate_policy p =
-  if not (Float.is_finite p.rto && p.rto > 0.0) then
-    Error (Printf.sprintf "arq policy: rto must be finite and positive, got %g" p.rto)
-  else if not (Float.is_finite p.backoff && p.backoff >= 1.0) then
-    Error (Printf.sprintf "arq policy: backoff must be >= 1, got %g" p.backoff)
-  else if not (Float.is_finite p.rto_cap && p.rto_cap >= p.rto) then
-    Error
-      (Printf.sprintf "arq policy: rto cap must be finite and >= rto, got %g" p.rto_cap)
-  else if p.max_retries < 0 then
-    Error
-      (Printf.sprintf "arq policy: max retries must be non-negative, got %d"
-         p.max_retries)
-  else Ok p
-
 type channel =
   | Reliable
   | Raw_faulty of Faults.t
@@ -219,9 +205,6 @@ let send t ?(units = 1) ~src ~dst payload =
       | Some _ -> ()
     end
   end
-
-let multicast t ?units ~src ~dsts payload =
-  Node_set.iter (fun dst -> send t ?units ~src ~dst payload) dsts
 
 let crash t p =
   Network.crash t.net p;

@@ -41,10 +41,6 @@ val default_policy : policy
     enough retries that even a 50% loss rate stalls a channel with
     probability ~2{^-31}. *)
 
-val validate_policy : policy -> (policy, string) result
-(** Rejects non-finite/non-positive [rto], [backoff < 1], a cap below
-    [rto], and negative [max_retries]. *)
-
 type channel =
   | Reliable  (** the paper's assumption, granted by construction *)
   | Raw_faulty of Faults.t
@@ -80,11 +76,6 @@ val on_deliver : 'a t -> (src:Node_id.t -> dst:Node_id.t -> 'a -> unit) -> unit
     arrive exactly once and in send order. *)
 
 val send : 'a t -> ?units:int -> src:Node_id.t -> dst:Node_id.t -> 'a -> unit
-
-val multicast :
-  'a t -> ?units:int -> src:Node_id.t -> dsts:Node_set.t -> 'a -> unit
-(** A loop of point-to-point {!send}s, mirroring
-    {!Network.multicast}. *)
 
 val crash : 'a t -> Node_id.t -> unit
 (** Crashes the node in the underlying network and kills its

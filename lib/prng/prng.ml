@@ -52,11 +52,6 @@ let shuffle t xs =
     xs.(j) <- tmp
   done
 
-let shuffle_list t xs =
-  let arr = Array.of_list xs in
-  shuffle t arr;
-  Array.to_list arr
-
 let sample t k xs =
   let n = List.length xs in
   if k < 0 || k > n then invalid_arg "Prng.sample: k out of range";

@@ -15,15 +15,19 @@ val check_size : Graph.t -> size:int -> (unit, string) result
 
 val connected_region :
   Cliffedge_prng.Prng.t -> Graph.t -> size:int -> Node_set.t
-(** A uniform-ish random connected region of exactly [size] nodes, grown
-    from a random seed node by repeatedly absorbing a random border
-    node.  Guaranteed to leave at least one correct node.
+(** A uniform-ish random connected region of [size] nodes, grown from
+    a random seed node by repeatedly absorbing a random border node.
+    Guaranteed to leave at least one correct node.  Returns fewer than
+    [size] nodes only when the seed node's component is exhausted (a
+    disconnected topology); the region is then that whole component,
+    and its border is empty.
     @raise Invalid_argument when [size] is not in [\[1, nodes - 1\]]. *)
 
 val connected_region_from :
   Cliffedge_prng.Prng.t -> Graph.t -> seed_node:Node_id.t -> size:int -> Node_set.t
 (** As {!connected_region} but grown from a fixed node (the region is
-    still random beyond the seed). *)
+    still random beyond the seed), with the same shortfall when
+    [seed_node]'s component has fewer than [size] nodes. *)
 
 val compact_region : Graph.t -> seed_node:Node_id.t -> size:int -> Node_set.t
 (** Fully deterministic connected region: grown from [seed_node] by

@@ -23,6 +23,19 @@ let test_connected_region_from_seed_node () =
   Alcotest.(check bool) "contains seed" true (Node_set.mem seed_node region);
   Alcotest.(check bool) "connected" true (Graph.is_region torus region)
 
+(* Two components: the path 0-1-2 and the edge 3-4.  A region grown
+   from node 3 can take only {3, 4}, whose border is empty. *)
+let test_region_stops_at_component () =
+  let g = Graph.of_edges [ (0, 1); (1, 2); (3, 4) ] in
+  let region =
+    Fault_gen.connected_region_from (rng ()) g ~seed_node:(Node_id.of_int 3)
+      ~size:3
+  in
+  Alcotest.(check bool) "the whole component" true
+    (Node_set.equal region (Node_set.of_ints [ 3; 4 ]));
+  Alcotest.(check bool) "no border" true
+    (Node_set.is_empty (Graph.border g region))
+
 let test_size_validation () =
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "zero" true
@@ -133,6 +146,8 @@ let suite =
     [
       Alcotest.test_case "connected region" `Quick test_connected_region_properties;
       Alcotest.test_case "region from seed" `Quick test_connected_region_from_seed_node;
+      Alcotest.test_case "region stops at its component" `Quick
+        test_region_stops_at_component;
       Alcotest.test_case "size validation" `Quick test_size_validation;
       Alcotest.test_case "isolated regions" `Quick test_isolated_regions;
       Alcotest.test_case "isolated impossible" `Quick test_isolated_regions_impossible;

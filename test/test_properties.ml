@@ -148,9 +148,8 @@ let tiebreaks =
     ( "max-element",
       fun a b ->
         match
-          Int.compare
-            (Node_id.to_int (Node_set.max_elt a))
-            (Node_id.to_int (Node_set.max_elt b))
+          Option.compare Node_id.compare (Node_set.max_elt_opt a)
+            (Node_set.max_elt_opt b)
         with
         | 0 -> Node_set.compare a b
         | c -> c );

@@ -2,8 +2,8 @@
 
    Nodes are top-level value bindings (including bindings inside
    literal sub-modules); an invocation's batch is the universe, so the
-   graph spans every component the caller passed — the whole-tree @lint
-   gate feeds all 16 components at once.
+   graph spans every component the caller passed — the root @lint gate
+   feeds every component directory at once.
 
    Resolution is purely syntactic and deliberately over-approximate:
 

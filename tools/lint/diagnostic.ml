@@ -1,5 +1,5 @@
-(* A single lint finding, location-addressed so editors, the cram suite
-   and the JSON report all agree on the same coordinates. *)
+(* A single lint finding, location-addressed so editors and the cram
+   suite agree on the same coordinates. *)
 
 type t = {
   rule : string;  (** rule id, e.g. ["no-poly-compare"] *)
@@ -37,14 +37,3 @@ let compare a b =
 
 let to_string d =
   Printf.sprintf "%s:%d:%d: [%s] %s" d.file d.line d.col d.rule d.message
-
-let to_json d =
-  let module J = Cliffedge_report.Json in
-  J.Obj
-    [
-      ("rule", J.String d.rule);
-      ("file", J.String d.file);
-      ("line", J.Int d.line);
-      ("col", J.Int d.col);
-      ("message", J.String d.message);
-    ]

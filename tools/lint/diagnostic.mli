@@ -20,5 +20,3 @@ val compare : t -> t -> int
 
 val to_string : t -> string
 (** [file:line:col: [rule] message], the compiler-style line. *)
-
-val to_json : t -> Cliffedge_report.Json.t

@@ -1,12 +1,11 @@
 (* Parses the batch, runs the registry under the policy table, applies
    suppression spans and returns the surviving diagnostics in report
-   order, plus per-rule wall-times.
+   order, plus the wall-time the budget reads.
 
-   Two passes share the registry: the cheap [Syntactic] rules run in
-   every per-directory gate, the interprocedural [Flow] rules run once
-   in the whole-tree gate where the batch spans all components (so the
-   call graph is complete).  [--analysis all] — the default, used by the
-   cram fixtures — runs both. *)
+   Two passes share the registry: the per-file [Syntactic] rules and the
+   interprocedural [Flow] rules, which see the whole batch (so the call
+   graph is complete when the batch spans every component, as in the
+   root @lint gate).  [--analysis all] — the default — runs both. *)
 
 let registry : Rule.t list =
   [
@@ -72,7 +71,7 @@ let load_file ~component path : Rule.source_file =
 
 type result = {
   diagnostics : Diagnostic.t list;
-  timings : (string * float) list;  (** rule id -> wall ms, registry order *)
+  rules_run : int;
   total_ms : float;
 }
 
@@ -85,13 +84,6 @@ let run ?(analysis = All) ?only (files : Rule.source_file list) : result =
         && match only with None -> true | Some id -> String.equal id r.id)
       registry
   in
-  let timings = ref [] in
-  let timed id f =
-    let t0 = Sys.time () in
-    let out = f () in
-    timings := (id, (Sys.time () -. t0) *. 1000.) :: !timings;
-    out
-  in
   let raw =
     List.concat_map
       (fun (rule : Rule.t) ->
@@ -102,33 +94,29 @@ let run ?(analysis = All) ?only (files : Rule.source_file list) : result =
                 ~basename:f.basename)
             files
         in
-        timed rule.id (fun () ->
-            match rule.check with
-            | Rule.Per_file check -> check eligible
-            | Rule.Whole_batch check -> check ~batch:files ~eligible))
+        match rule.check with
+        | Rule.Per_file check -> check eligible
+        | Rule.Whole_batch check -> check ~batch:files ~eligible)
       selected
   in
   let active = List.map (fun (r : Rule.t) -> r.id) selected @ [ "unused-allow" ] in
   let surviving =
-    timed "unused-allow" (fun () ->
-        List.concat_map
-          (fun (f : Rule.source_file) ->
-            let spans = Allow.collect f in
-            let own =
-              List.filter
-                (fun (d : Diagnostic.t) -> String.equal d.file f.rel)
-                raw
-            in
-            (* [filter] must run first: it marks the spans that fired, and
-               [unused_diagnostics] reports the ones that did not. *)
-            let kept = Allow.filter spans own in
-            kept
-            @ Allow.unused_diagnostics ~file:f.rel ~active
-                ~known:known_rule_ids spans)
-          files)
+    List.concat_map
+      (fun (f : Rule.source_file) ->
+        let spans = Allow.collect f in
+        let own =
+          List.filter (fun (d : Diagnostic.t) -> String.equal d.file f.rel) raw
+        in
+        (* [filter] must run first: it marks the spans that fired, and
+           [unused_diagnostics] reports the ones that did not. *)
+        let kept = Allow.filter spans own in
+        kept
+        @ Allow.unused_diagnostics ~file:f.rel ~active ~known:known_rule_ids
+            spans)
+      files
   in
   {
     diagnostics = List.sort_uniq Diagnostic.compare surviving;
-    timings = List.rev !timings;
+    rules_run = List.length active;
     total_ms = (Sys.time () -. t_start) *. 1000.;
   }

@@ -2,23 +2,20 @@
 
    Usage: cliffedge-lint [--component DIR | --auto-component]
                          [--analysis syntactic|flow|all] [--only RULE]
-                         [--json FILE] [--sarif FILE] [--bench-json FILE]
-                         [--fixed-timings] [--budget-ms N]
-                         [--check-report FILE] [--verbose]
+                         [--budget-ms N] [--verbose]
                          [--list-rules [--markdown]] FILE...
 
    Parses the given .ml/.mli files with ppxlib, runs the rule registry
    under the per-directory policy table, prints compiler-style
-   diagnostics plus a per-rule summary table, optionally merges JSON /
-   bench reports, and exits 1 when violations remain (or the time
-   budget is blown).  The per-directory dune stanzas attach the cheap
-   syntactic pass as the @lint alias; the root stanza runs the
-   flow-sensitive pass once over the whole tree so the interprocedural
-   rules see a complete call graph.  @runtest depends on @lint. *)
+   diagnostics plus a per-rule summary table, and exits 1 when
+   violations remain (or the time budget is blown).  The root dune
+   stanza is the @lint alias: one run of every rule over the whole tree,
+   so the interprocedural rules see a complete call graph.  @runtest
+   depends on @lint. *)
 
 open Cliffedge_lint
 
-let usage = "cliffedge-lint [--component DIR] [--json FILE] FILE..."
+let usage = "cliffedge-lint [--component DIR] FILE..."
 
 let registry_rows () =
   List.map
@@ -50,32 +47,11 @@ let print_rules ~markdown =
       (fun (id, _, doc) -> Printf.printf "%-20s %s\n" id doc)
       (registry_rows ())
 
-(* Dispatches on the document's schema tag: a cliffedge-bench-compare
-   verdict validates against the ratchet-verdict shape, anything else
-   against the native lint-report schema. *)
-let check_report file =
-  match Cliffedge_report.Json.of_file file with
-  | Error e ->
-      Printf.eprintf "cliffedge-lint: %s: %s\n" file e;
-      exit 2
-  | Ok root -> (
-      match Json_report.validate_any root with
-      | Ok schema ->
-          Printf.printf "cliffedge-lint: %s: valid %s report\n" file schema;
-          exit 0
-      | Error e ->
-          Printf.eprintf "cliffedge-lint: %s: invalid report: %s\n" file e;
-          exit 2)
-
 let () =
   let component = ref "." in
   let auto_component = ref false in
   let analysis = ref Engine.All in
   let only = ref None in
-  let json_file = ref None in
-  let sarif_file = ref None in
-  let bench_json = ref None in
-  let fixed_timings = ref false in
   let budget_ms = ref 0 in
   let verbose = ref false in
   let list_rules = ref false in
@@ -102,24 +78,9 @@ let () =
       ( "--only",
         Arg.String (fun id -> only := Some id),
         "RULE run a single rule (fixture isolation)" );
-      ( "--json",
-        Arg.String (fun f -> json_file := Some f),
-        "FILE merge a machine-readable report into FILE" );
-      ( "--sarif",
-        Arg.String (fun f -> sarif_file := Some f),
-        "FILE write the diagnostics as a SARIF 2.1.0 document to FILE" );
-      ( "--bench-json",
-        Arg.String (fun f -> bench_json := Some f),
-        "FILE merge a lint_timings section into a bench JSON FILE" );
-      ( "--fixed-timings",
-        Arg.Set fixed_timings,
-        " zero reported timings (reproducible output)" );
       ( "--budget-ms",
         Arg.Set_int budget_ms,
         "N fail when the analysis takes longer than N ms" );
-      ( "--check-report",
-        Arg.String (fun f -> check_report f),
-        "FILE validate FILE against the report schema and exit" );
       ("--verbose", Arg.Set verbose, " report clean runs too");
       ("--list-rules", Arg.Set list_rules, " print the rule registry and exit");
       ( "--markdown",
@@ -155,54 +116,6 @@ let () =
   in
   let result = Engine.run ~analysis:!analysis ?only:!only loaded in
   let diags = result.Engine.diagnostics in
-  let timings =
-    if !fixed_timings then
-      List.map (fun (id, _) -> (id, 0.)) result.Engine.timings
-    else result.Engine.timings
-  in
-  let total_ms = if !fixed_timings then 0. else result.Engine.total_ms in
-  (* One report section per component present in the batch, in order of
-     first appearance; timings are recorded once for the invocation. *)
-  let components =
-    List.fold_left
-      (fun acc (f : Rule.source_file) ->
-        if List.exists (String.equal f.component) acc then acc
-        else acc @ [ f.component ])
-      [] loaded
-  in
-  Option.iter
-    (fun file ->
-      List.iter
-        (fun comp ->
-          let group =
-            List.filter
-              (fun (f : Rule.source_file) -> String.equal f.component comp)
-              loaded
-          in
-          let rels = List.map (fun (f : Rule.source_file) -> f.rel) group in
-          let own =
-            List.filter
-              (fun (d : Diagnostic.t) ->
-                List.exists (String.equal d.file) rels)
-              diags
-          in
-          Json_report.record_component ~file ~component:comp
-            ~files_scanned:(List.length group) own)
-        components;
-      Json_report.record_timings ~file ~timings ~total_ms)
-    !json_file;
-  Option.iter
-    (fun file ->
-      let rules =
-        List.map (fun (id, _, doc) -> (id, doc)) (registry_rows ())
-      in
-      Json_report.write_sarif ~file ~rules diags)
-    !sarif_file;
-  Option.iter
-    (fun file ->
-      Json_report.bench_record ~file ~files:(List.length loaded) ~timings
-        ~total_ms)
-    !bench_json;
   let budget_blown = !budget_ms > 0 && result.Engine.total_ms > float_of_int !budget_ms in
   if budget_blown then
     Printf.eprintf
@@ -212,8 +125,7 @@ let () =
   | [] ->
       if !verbose then
         Printf.printf "cliffedge-lint: clean (%d file(s), %d rule(s))\n"
-          (List.length loaded)
-          (List.length timings)
+          (List.length loaded) result.Engine.rules_run
   | _ :: _ ->
       List.iter (fun d -> print_endline (Diagnostic.to_string d)) diags;
       print_newline ();

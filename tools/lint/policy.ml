@@ -1,8 +1,8 @@
 (* The per-directory policy table: which rule applies to which
-   component.  A component is the directory a file lives in, as passed
-   via [--component] by the per-directory dune stanzas (e.g.
-   ["lib/core"]); fixture runs in the cram suite pick a component to
-   select the rule set under test.
+   component.  A component is the directory a file lives in (e.g.
+   ["lib/core"]), derived per file by [--auto-component] in the root
+   @lint gate; fixture runs in the cram suite pick one with
+   [--component] to select the rule set under test.
 
    The README "Static checks" table is GENERATED from this module
    (cliffedge-lint --list-rules --markdown); edit [scope_doc] /

@@ -24,10 +24,9 @@ type source_file = {
   source_len : int;  (** bytes; closes file-scoped suppression spans *)
 }
 
-(* Which engine pass a rule belongs to: the per-directory dune gates run
-   the cheap [Syntactic] pass on their own files; the whole-tree gate
-   runs the [Flow] pass once over every component so the call graph is
-   complete. *)
+(* Which engine pass a rule belongs to: [Syntactic] rules look at one
+   file at a time; [Flow] rules see the whole batch (in the root @lint
+   gate, every component), so the call graph is complete. *)
 type analysis = Syntactic | Flow
 
 type check =

@@ -13,9 +13,9 @@ type source_file = {
   source_len : int;
 }
 
-(** Which engine pass a rule belongs to: [Syntactic] rules run in every
-    per-directory gate; [Flow] rules run once over the whole tree so the
-    call graph is complete. *)
+(** Which engine pass a rule belongs to: [Syntactic] rules look at one
+    file at a time; [Flow] rules see the whole batch, so their call
+    graph is complete when the batch is the whole tree. *)
 type analysis = Syntactic | Flow
 
 type check =

@@ -23,7 +23,7 @@
    - calls whose target the call graph cannot resolve — parameters,
      computed functions, functor output, unlisted stdlib — are
      {e conservatively allocating} (Top), so the whole-tree
-     [--analysis flow] pass stays sound.
+     @lint run stays sound.
 
    May-allocate then closes transitively over the same-batch call
    graph as a {!Fixpoint.Bool_lattice} fixpoint.  [@lint.cold] on a
