@@ -181,9 +181,7 @@ let ring_region n =
 
 (* Per-crash maintenance cost of the incremental geometry: a fresh
    tracker absorbs a [crashes]-node cascade marching along the ring
-   from id 8 (low ids keep the dense-from-zero bitsets the accessors
-   hand back small — the cost being measured is the tracker's, not the
-   bitset encoding's).  Returns (µs per crash, resident words after). *)
+   from id 8.  Returns (µs per crash, resident words after). *)
 let geometry_cascade graph ~crashes =
   let incr = Incr_geometry.create graph in
   let (), ms =
@@ -1162,13 +1160,29 @@ let trace_smoke () =
   Json_out.record ~section:"trace"
     [ ("x16_drop20_arq", Obs.Metrics.to_json metrics) ]
 
+(* Minor words allocated by one checked agreement (Runner.run then
+   Checker.check) on an 8-node compact region seeded at node [seed] of
+   a fresh million-node implicit ring.  The graph is fresh so that both
+   placements start from empty memos. *)
+let region_run_words seed =
+  let graph = Topology.implicit_ring 1_000_000 in
+  let region = Fault_gen.compact_region graph ~seed_node:(Node_id.of_int seed) ~size:8 in
+  let crashes = Fault_gen.crash_at 10.0 region in
+  let before = Gc.minor_words () in
+  let outcome = Runner.run ~graph ~crashes ~propose_value:Scenario.default_propose () in
+  assert (Checker.ok (Checker.check ~value_equal:String.equal outcome));
+  Gc.minor_words () -. before
+
 (* Large-N smoke for the @bench-smoke gate: one cliff-edge run
    on a never-materialized 100k-node ring, then a 512-crash cascade
    through the incremental geometry with hard ceilings on per-crash
    wall time and tracker residency.  The ceilings are deliberately
-   generous (CI machines vary); the ratchet on the recorded numbers is
-   the [compare] gate, this assert only catches an O(N)-per-crash or
-   O(N)-resident regression outright. *)
+   generous (CI machines vary): they catch only an O(N)-per-crash or
+   O(N)-resident regression outright, and [compare] does not read the
+   largen section the numbers are recorded in.  Last, the same
+   agreement at the bottom and at the top of a million-node id range
+   must allocate within 2x of each other: a run's cost follows its
+   region, not the magnitude of the region's ids. *)
 let largen_smoke () =
   let n = 100_000 in
   let ce, ce_ms = implicit_ring_run n in
@@ -1183,6 +1197,12 @@ let largen_smoke () =
     per_crash_us resident;
   assert (per_crash_us <= 500.0);
   assert (resident <= 65_536);
+  let low = region_run_words 100 and high = region_run_words 999_900 in
+  Format.printf
+    "id magnitude (implicit ring, N=10^6, 8-node region): %.0f minor words at id 100, \
+     %.0f at id 999900 (%.2fx)@."
+    low high (high /. low);
+  assert (high <= 2.0 *. low);
   Json_out.record ~section:"largen"
     [
       ( "implicit_ring_100k",
@@ -1192,6 +1212,12 @@ let largen_smoke () =
             ("ce_msgs", Cliffedge_report.Json.Int (Stats.sent ce.stats));
             ("per_crash_us", Cliffedge_report.Json.Float per_crash_us);
             ("geom_resident_words", Cliffedge_report.Json.Int resident);
+          ] );
+      ( "id_magnitude_1m",
+        Cliffedge_report.Json.Obj
+          [
+            ("minor_words_at_id_100", Cliffedge_report.Json.Float low);
+            ("minor_words_at_id_999900", Cliffedge_report.Json.Float high);
           ] );
     ]
 

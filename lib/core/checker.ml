@@ -24,7 +24,6 @@ type violation = { property : property; description : string; events : int list 
 type report = {
   violations : violation list;
   geometry : Fault_geometry.t;
-  correct : Node_set.t;
   decisions_checked : int;
   pairs_checked : int;
 }
@@ -138,7 +137,7 @@ let decisions_by_node decisions =
     (fun acc (d : 'v Runner.decision) -> Node_map.add d.node d acc)
     Node_map.empty decisions
 
-let check_cd4 graph correct ~quiescent by_node (decisions : 'v Runner.decision list) =
+let check_cd4 graph ~correct ~quiescent by_node (decisions : 'v Runner.decision list) =
   if not quiescent then
     [
       violate CD4_border_termination
@@ -149,7 +148,7 @@ let check_cd4 graph correct ~quiescent by_node (decisions : 'v Runner.decision l
       (fun (d : 'v Runner.decision) ->
         Node_set.fold
           (fun q acc ->
-            if Node_set.mem q correct && not (Node_map.mem q by_node) then
+            if correct q && not (Node_map.mem q by_node) then
               violate
                 ~events:(cite [ d.event ])
                 CD4_border_termination
@@ -182,9 +181,9 @@ let check_cd5 graph value_equal by_node (decisions : 'v Runner.decision list) =
         [])
     decisions
 
-let check_cd6 correct (decisions : 'v Runner.decision list) =
+let check_cd6 ~correct (decisions : 'v Runner.decision list) =
   let correct_decisions =
-    List.filter (fun (d : 'v Runner.decision) -> Node_set.mem d.node correct) decisions
+    List.filter (fun (d : 'v Runner.decision) -> correct d.node) decisions
   in
   let rec pairs acc = function
     | [] -> acc
@@ -207,7 +206,7 @@ let check_cd6 correct (decisions : 'v Runner.decision list) =
   in
   pairs [] correct_decisions
 
-let check_cd7 graph geometry correct ~quiescent ~crash_ev ~stall_evs by_node =
+let check_cd7 graph geometry ~correct ~quiescent ~crash_ev ~stall_evs by_node =
   let clusters = Fault_geometry.cluster_borders geometry in
   if clusters = [] then []
   else if not (quiescent : bool) then
@@ -217,7 +216,7 @@ let check_cd7 graph geometry correct ~quiescent ~crash_ev ~stall_evs by_node =
       (fun border ->
         let has_decider =
           Node_set.exists
-            (fun p -> Node_set.mem p correct && Node_map.mem p by_node)
+            (fun p -> correct p && Node_map.mem p by_node)
             border
         in
         if has_decider then None
@@ -231,7 +230,7 @@ let check_cd7 graph geometry correct ~quiescent ~crash_ev ~stall_evs by_node =
               (fun p acc ->
                 Node_set.fold
                   (fun q acc ->
-                    if not (Node_set.mem q correct) then
+                    if not (correct q) then
                       match Hashtbl.find_opt crash_ev (Node_id.to_int q) with
                       | Some seq -> seq :: acc
                       | None -> acc
@@ -266,7 +265,9 @@ let check ?(value_equal = (( = ) [@lint.allow "no-poly-compare"]))
     | Some g -> g
     | None -> Fault_geometry.compute graph ~faulty:outcome.crashed
   in
-  let correct = Node_set.diff (Graph.nodes graph) outcome.crashed in
+  (* Liveness is tested node by node: the complement of [crashed] in
+     the whole graph would cost O(N) words on every check. *)
+  let correct p = Graph.mem_node p graph && not (Node_set.mem p outcome.crashed) in
   let crash_time = crash_times outcome.crashes in
   let by_node = decisions_by_node outcome.decisions in
   (* One scan of the causal log collects the witness events citations
@@ -292,16 +293,15 @@ let check ?(value_equal = (( = ) [@lint.allow "no-poly-compare"]))
     check_cd1 outcome.decisions
     @ check_cd2 graph crash_time outcome.decisions
     @ cd3
-    @ check_cd4 graph correct ~quiescent:outcome.quiescent by_node outcome.decisions
+    @ check_cd4 graph ~correct ~quiescent:outcome.quiescent by_node outcome.decisions
     @ check_cd5 graph value_equal by_node outcome.decisions
-    @ check_cd6 correct outcome.decisions
-    @ check_cd7 graph geometry correct ~quiescent:outcome.quiescent ~crash_ev
+    @ check_cd6 ~correct outcome.decisions
+    @ check_cd7 graph geometry ~correct ~quiescent:outcome.quiescent ~crash_ev
         ~stall_evs:(List.rev !stall_evs) by_node
   in
   {
     violations;
     geometry;
-    correct;
     decisions_checked = List.length outcome.decisions;
     pairs_checked;
   }

@@ -35,7 +35,6 @@ type violation = {
 type report = {
   violations : violation list;
   geometry : Fault_geometry.t;  (** ground-truth fault geometry *)
-  correct : Node_set.t;  (** nodes alive at end of run *)
   decisions_checked : int;
   pairs_checked : int;  (** communicating pairs examined for CD3 *)
 }

@@ -113,11 +113,10 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
       ~channel_consistent_fd:options.channel_consistent_fd ()
   in
   let { Substrate.engine; detector; obs; _ } = substrate in
-  (* Steppers of the activated nodes, indexed by id (no hashing on the
-     dispatch path) and grown on demand: a run that touches a region
+  (* Steppers of the activated nodes only: a run that touches a region
      of a million-node graph holds steppers for the region's
-     neighbourhood only. *)
-  let steppers = ref [||] in
+     neighbourhood, whatever the region's ids. *)
+  let steppers = Node_id.Tbl.create 16 in
   let decisions = ref [] in
   (* Seq of the last round-chain event ([Propose]/[Round]/...) each node
      recorded per consensus instance, so the chain
@@ -202,18 +201,11 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
      node has a crashed neighbour only if that neighbour's own crash
      activated it first. *)
   and active p =
-    let i = Node_id.to_int p in
-    let n = Array.length !steppers in
-    match if i < n then !steppers.(i) else None with
+    match Node_id.Tbl.find_opt steppers p with
     | Some stepper -> stepper
     | None ->
-        if i >= n then begin
-          let grown = Array.make (Int.max (i + 1) (2 * n)) None in
-          Array.blit !steppers 0 grown 0 n;
-          steppers := grown
-        end;
         let stepper = make p in
-        !steppers.(i) <- Some stepper;
+        Node_id.Tbl.add steppers p stepper;
         step p stepper Protocol.Init;
         stepper
   and dispatch p event =
@@ -240,11 +232,11 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
     options.false_suspicions;
   Substrate.run ~max_events:options.max_events substrate;
   let states =
-    Array.to_seqi !steppers
-    |> Seq.filter_map (fun (i, slot) ->
-           Option.bind slot (fun stepper -> stepper.flat_state ())
-           |> Option.map (fun st -> (Node_id.of_int i, st)))
-    |> List.of_seq
+    Node_id.Tbl.fold
+      (fun p stepper acc ->
+        match stepper.flat_state () with Some st -> (p, st) :: acc | None -> acc)
+      steppers []
+    |> List.sort (fun (p, _) (q, _) -> Node_id.compare p q)
   in
   {
     graph;

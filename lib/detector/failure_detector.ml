@@ -3,11 +3,9 @@ module Engine = Cliffedge_sim.Engine
 module Prng = Cliffedge_prng.Prng
 module Latency = Cliffedge_net.Latency
 
-(* Dense node-id-indexed tables (grown on demand): every query on the
-   runner's dispatch path — [is_crashed], the subscription dedup — is
-   one array read instead of a generic-hash-table probe.  Node ids are
-   small and dense in every workload (the topologies number them
-   contiguously), so the arrays stay tiny.
+(* Detector state is kept only for the nodes a run activates, keyed
+   by id in hash tables, so its cost follows the crashed region's
+   vicinity rather than the largest id in the graph.
 
    There is deliberately no observer-indexed-by-target inverse table:
    registration runs once per (node, neighbour) pair — the bulk of a
@@ -19,18 +17,15 @@ type t = {
   engine : Engine.t;
   rng : Prng.t;
   latency : Latency.t;
-  (* observer id -> targets already subscribed (dedup; a slot keeps its
+  (* observer -> targets already subscribed (dedup; a row keeps its
      targets after notification so a pair fires at most once) *)
-  mutable subscriptions : Node_set.t array;
-  (* observer id -> targets whose subscription was consumed early by a
+  subscriptions : Node_set.t Node_id.Tbl.t;
+  (* observer -> targets whose subscription was consumed early by a
      false suspicion (so a later genuine crash must not re-notify).
-     Rows stay empty unless suspicions are injected. *)
-  mutable consumed : Node_set.t array;
-  (* ids whose subscription row is non-empty: the [inject_crash] walk *)
+     Empty unless suspicions are injected. *)
+  consumed : Node_set.t Node_id.Tbl.t;
+  (* ids holding a subscription row: the [inject_crash] walk *)
   mutable observers : Node_set.t;
-  (* node id -> crash time; [nan] = alive.  [crashed] mirrors the
-     non-[nan] slots as a set for [crashed_nodes]. *)
-  mutable crash_times : float array;
   mutable crashed : Node_set.t;
   channel_floor : (observer:Node_id.t -> crashed:Node_id.t -> float) option;
   mutable notify : (observer:Node_id.t -> crashed:Node_id.t -> unit) option;
@@ -41,38 +36,26 @@ let create ~engine ~rng ~latency ?channel_floor () =
     engine;
     rng;
     latency;
-    subscriptions = Array.make 64 Node_set.empty;
-    consumed = Array.make 64 Node_set.empty;
+    subscriptions = Node_id.Tbl.create 16;
+    consumed = Node_id.Tbl.create 1;
     observers = Node_set.empty;
-    crash_times = Array.make 64 Float.nan;
     crashed = Node_set.empty;
     channel_floor;
     notify = None;
   }
 
-let[@lint.cold] grow_sets arr i =
-  let n = Array.length arr in
-  if i < n then arr
-  else begin
-    let out = Array.make (Int.max (i + 1) (2 * n)) Node_set.empty in
-    Array.blit arr 0 out 0 n;
-    out
-  end
+(* [observers] names exactly the ids holding a subscription row, so a
+   node's first registration costs no failed table probe. *)
+let subscribed t observer =
+  if Node_set.mem observer t.observers then Node_id.Tbl.find t.subscriptions observer
+  else Node_set.empty
 
-let[@lint.cold] grow_times arr i =
-  let n = Array.length arr in
-  if i < n then arr
-  else begin
-    let out = Array.make (Int.max (i + 1) (2 * n)) Float.nan in
-    Array.blit arr 0 out 0 n;
-    out
-  end
+let consumed t observer =
+  Option.value (Node_id.Tbl.find_opt t.consumed observer) ~default:Node_set.empty
 
 let on_crash_notification t handler = t.notify <- Some handler
 
-let is_crashed t p =
-  let i = Node_id.to_int p in
-  i < Array.length t.crash_times && not (Float.is_nan t.crash_times.(i))
+let is_crashed t p = Node_set.mem p t.crashed
 
 let crashed_nodes t = t.crashed
 
@@ -113,54 +96,45 @@ let[@lint.cold] notify_crashed_fresh t ~observer fresh =
    physically — pinned at 0 minor words/op by `bench alloc`; first
    registration pays the set copies once per topology edge. *)
 let[@lint.hot_path] [@lint.allow "hot-path-alloc"] monitor t ~observer ~targets =
-  let oi = Node_id.to_int observer in
-  t.subscriptions <- grow_sets t.subscriptions oi;
+  let subscribed = subscribed t observer in
   (* Word-parallel dedup: one [diff] finds the genuinely new targets
      (minus self), one [union] registers them, and only the already
      crashed ones are walked element-wise — in ascending order, so the
      notification schedule matches the per-element version exactly. *)
-  let fresh =
-    Node_set.remove observer (Node_set.diff targets t.subscriptions.(oi))
-  in
+  let fresh = Node_set.remove observer (Node_set.diff targets subscribed) in
   if not (Node_set.is_empty fresh) then begin
-    t.subscriptions.(oi) <- Node_set.union t.subscriptions.(oi) fresh;
+    Node_id.Tbl.replace t.subscriptions observer (Node_set.union subscribed fresh);
     t.observers <- Node_set.add observer t.observers;
     if not (Node_set.disjoint fresh t.crashed) then
       notify_crashed_fresh t ~observer fresh
   end
 
+(* Whether [observer] subscribed to [target] and no false suspicion
+   has consumed that subscription yet. *)
+let pending t ~observer ~target =
+  Node_set.mem target (subscribed t observer)
+  && not (Node_set.mem target (consumed t observer))
+
 let inject_false_suspicion t ~observer ~target =
-  let oi = Node_id.to_int observer in
   if
-    oi < Array.length t.subscriptions
-    && Node_set.mem target t.subscriptions.(oi)
-    && (oi >= Array.length t.consumed || not (Node_set.mem target t.consumed.(oi)))
+    pending t ~observer ~target
     && (not (is_crashed t target))
     && not (is_crashed t observer)
   then begin
     (* Consume the subscription so the pair is notified at most once,
        like a genuine notification would. *)
-    t.consumed <- grow_sets t.consumed oi;
-    t.consumed.(oi) <- Node_set.add target t.consumed.(oi);
+    Node_id.Tbl.replace t.consumed observer (Node_set.add target (consumed t observer));
     schedule_notification t ~observer ~target
   end
 
 let inject_crash t target =
-  let ti = Node_id.to_int target in
   if not (is_crashed t target) then begin
-    t.crash_times <- grow_times t.crash_times ti;
-    t.crash_times.(ti) <- Engine.now t.engine;
     t.crashed <- Node_set.add target t.crashed;
     (* Every currently subscribed pair registered while [target] was
        alive (it crashes only once), so the subscription rows minus the
        suspicion-consumed pairs are exactly the old inverse table. *)
     Node_set.iter
       (fun observer ->
-        let oi = Node_id.to_int observer in
-        if
-          Node_set.mem target t.subscriptions.(oi)
-          && (oi >= Array.length t.consumed
-             || not (Node_set.mem target t.consumed.(oi)))
-        then schedule_notification t ~observer ~target)
+        if pending t ~observer ~target then schedule_notification t ~observer ~target)
       t.observers
   end

@@ -1,11 +1,3 @@
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash i = i land max_int
-end)
-
 (* ------------------------------------------------------------------ *)
 (* Second-chance clock cache, capped by resident words.
 
@@ -13,8 +5,8 @@ end)
    8192 entries.  Under a crash cascade at large N the working set
    crosses any entry-count cap every few queries, so the hit rate
    collapsed to ~0 right when the memo mattered most — and counting
-   entries says nothing about memory once a single million-node set
-   weighs ~16k words.  This cache evicts one cold entry at a time
+   entries says nothing about memory, which grows with set content.
+   This cache evicts one cold entry at a time
    (classic second-chance: a hit sets the reference bit, the clock hand
    clears it and gives the entry one more lap before eviction) and
    bounds the *sum of resident words* of keys and values, so the memo
@@ -77,7 +69,7 @@ module Clock (H : Hashtbl.S) = struct
 end
 
 module Set_cache = Clock (Node_set.Tbl)
-module Int_cache = Clock (Int_tbl)
+module Id_cache = Clock (Node_id.Tbl)
 
 (* Per-memo residency budget: 2^15 words (256 KiB of payload) holds the
    few dozen distinct views a run touches even at million-node scale,
@@ -114,7 +106,7 @@ type repr = Adjacency of Node_set.t Node_map.t | Implicit of kernel
 type caches = {
   borders : Node_set.t Set_cache.t;
   components : Node_set.t list Set_cache.t;
-  neigh : Node_set.t Int_cache.t;
+  neigh : Node_set.t Id_cache.t;
 }
 
 type t = {
@@ -157,11 +149,6 @@ let implicit ~n ~degree ~iter_neighbours ~max_degree ?edge_count ~label () =
 
 let is_implicit t = match t.repr with Implicit _ -> true | Adjacency _ -> false
 
-let mem_node p t =
-  match t.repr with
-  | Adjacency a -> Node_map.mem p a
-  | Implicit k -> Node_id.to_int p < k.k_n
-
 let caches_of t =
   match t.caches with
   | Some c -> c
@@ -170,7 +157,7 @@ let caches_of t =
         {
           borders = Set_cache.create cache_cap_words;
           components = Set_cache.create cache_cap_words;
-          neigh = Int_cache.create cache_cap_words;
+          neigh = Id_cache.create cache_cap_words;
         }
       in
       t.caches <- Some c;
@@ -209,11 +196,11 @@ let neighbours t p =
       if i >= k.k_n then Node_set.empty
       else
         let c = caches_of t in
-        (match Int_cache.find_exn c.neigh i with
+        (match Id_cache.find_exn c.neigh p with
         | s -> s
         | exception Not_found ->
             let s = kernel_neighbours k i in
-            Int_cache.add c.neigh i s ~weight:(Node_set.words s + 1);
+            Id_cache.add c.neigh p s ~weight:(Node_set.words s + 1);
             s)
 
 let iter_neighbour_ids t i f =
@@ -265,6 +252,14 @@ let nodes t =
       in
       t.all <- Some s;
       s
+
+(* A stored graph answers from its cached vertex set: a search over a
+   few words rather than a map descent through the functor's
+   comparator, for the checker's per-node liveness test. *)
+let mem_node p t =
+  match t.repr with
+  | Adjacency _ -> Node_set.mem p (nodes t)
+  | Implicit k -> Node_id.to_int p < k.k_n
 
 let node_count t =
   match t.repr with Adjacency a -> Node_map.cardinal a | Implicit k -> k.k_n
@@ -451,7 +446,7 @@ let memo_resident_words t =
   | Some c ->
       Set_cache.resident c.borders
       + Set_cache.resident c.components
-      + Int_cache.resident c.neigh
+      + Id_cache.resident c.neigh
 
 let pp_stats ppf t =
   match t.repr with

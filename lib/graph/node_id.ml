@@ -31,6 +31,16 @@ let pair_fst k = k lsr pair_bits
 
 let pair_snd k = k land (pair_component_limit - 1)
 
+(* Identifiers are non-negative, so the identity is already a valid
+   hash, and consecutive ids land in consecutive buckets. *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  let hash = hash
+end)
+
 let pp ppf t = Format.fprintf ppf "n%d" t
 
 let to_string t = "n" ^ string_of_int t

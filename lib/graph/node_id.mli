@@ -36,6 +36,12 @@ val pair_fst : int -> t
 val pair_snd : int -> t
 (** Second component of a {!pair_key}. *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by identifier, holding only the ids a run
+    touches, whatever their magnitude: the runner's steppers, the
+    failure detector's subscription rows and the implicit graph's
+    neighbour memo. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as [n<i>], e.g. [n42]. *)
 

@@ -5,11 +5,14 @@
     The module exposes the operations of the standard functorial set
     ([Set.S]) that the repository calls, with their [Set.S] meaning
     (plus the helpers the protocol and its checker need), but is backed
-    by an immutable chunked bitset — an [int array] of
-    63-bit words in canonical form — so [union], [inter], [diff],
-    [subset], [cardinal] and friends are word-parallel loops instead of
-    AVL-tree walks.  Identifiers are dense small integers throughout the
-    repository, which makes this representation both compact and fast.
+    by an immutable sparse bitset: the non-zero 63-bit words of the
+    members, as sorted (word index, word) pairs in one [int array].
+    [union], [inter], [diff], [subset] and friends are merges over the
+    pairs, 63 members at a time, instead of AVL-tree walks, and [mem] is
+    a search over a handful of words.  A set costs its non-zero words,
+    never more than two machine words per member, whatever the
+    magnitude of its ids: a region at the top of a million-node id range
+    weighs what the same region at id 0 weighs.
 
     [compare] is a strict total order on sets, used as the final
     tie-break of the region ranking (§3.1 of the paper leaves that order
@@ -67,9 +70,9 @@ val of_ints : int list -> t
 
 val words : t -> int
 (** Number of machine words backing the set — its resident size, the
-    unit the graph layer's memo caches budget their eviction in.  Sets
-    are dense from zero, so a set containing node [i] weighs at least
-    [i / 63 + 1] words regardless of its cardinality. *)
+    unit the graph layer's memo caches budget their eviction in: two per
+    non-zero 63-bit word of members (its index and its bits), so at most
+    [2 * cardinal s], whatever the ids.  [{0, 999 999}] weighs 4. *)
 
 val full : int -> t
 (** [full n] is the interval [{0, ..., n - 1}], built word-wise in

@@ -33,10 +33,9 @@ val compact_region : Graph.t -> seed_node:Node_id.t -> size:int -> Node_set.t
 (** Fully deterministic connected region: grown from [seed_node] by
     always absorbing the minimum-id border node.  Touches only the
     region and its border — no PRNG, no whole-graph scan — so it is the
-    region builder for million-node implicit topologies (where random
-    growth from a high-id seed would also drag huge bitsets around; pick
-    a low-id seed there).  Returns fewer than [size] nodes only when the
-    component is exhausted.
+    region builder for million-node implicit topologies, at any seed id.
+    Returns fewer than [size] nodes only when the component is
+    exhausted.
     @raise Invalid_argument when [size < 1]. *)
 
 val isolated_regions :

@@ -184,6 +184,30 @@ let test_message_roundtrip () =
       Alcotest.(check bool) "roundtrip" true (message_equal msg decoded))
     [ sample_round; sample_outcome ]
 
+(* A short frame may name any id up to [max_int].  A decoded set weighs
+   two words per non-zero 63-bit word of members, whatever their
+   magnitude, so such a frame decodes to a set of a few words instead
+   of asking for memory in proportion to its largest id. *)
+let test_huge_ids_roundtrip () =
+  let view = set [ 1 lsl 40; max_int - 1 ] in
+  let msg =
+    Message.Outcome
+      {
+        view;
+        border = set [ 3 ];
+        opinions = Opinion.Vector.of_list [ (n 3, Opinion.Accept "x") ];
+      }
+  in
+  match Codec.decode Codec.string_value (Codec.encode Codec.string_value msg) with
+  | Message.Outcome { view = decoded; _ } as back ->
+      Alcotest.(check bool) "roundtrip" true (message_equal msg back);
+      Alcotest.(check (list int)) "members" (Node_set.to_ints view) (Node_set.to_ints decoded);
+      Alcotest.(check bool)
+        (Printf.sprintf "decoded view weighs %d words" (Node_set.words decoded))
+        true
+        (Node_set.words decoded <= 4)
+  | Message.Round _ -> Alcotest.fail "decoded a Round from an Outcome frame"
+
 let test_bad_magic () =
   let encoded = Codec.encode Codec.string_value sample_round in
   let corrupted = "\x00" ^ String.sub encoded 1 (String.length encoded - 1) in
@@ -371,6 +395,7 @@ let suite =
       Alcotest.test_case "int set compact" `Quick test_int_set_compact;
       Alcotest.test_case "trailing garbage" `Quick test_trailing_garbage_rejected;
       Alcotest.test_case "message roundtrip" `Quick test_message_roundtrip;
+      Alcotest.test_case "huge ids roundtrip" `Quick test_huge_ids_roundtrip;
       Alcotest.test_case "bad magic" `Quick test_bad_magic;
       Alcotest.test_case "bad version" `Quick test_bad_version;
       Alcotest.test_case "all truncations rejected" `Quick test_truncation_rejected;

@@ -163,19 +163,26 @@ let prop_incremental_matches_recompute =
 (* --- memo caches: bounded residency, single-entry eviction ---------- *)
 
 let test_memo_cap () =
-  (* Border queries against sets at high ids are heavy (a bitset holding
-     id ~1e5 weighs ~1600 words), so a few dozen distinct queries push
-     the memo far past its budget — the clock must evict entry by entry
-     and keep residency near the cap instead of resetting to zero. *)
+  (* Border queries weigh their key and value sets' words, two per
+     non-zero 63-bit word of members.  Each query below names 600 ids
+     spread one per word, so it weighs about 3 600 words, and fifty
+     distinct queries insert more than the residency bound below — the
+     clock must evict entry by entry and keep residency near the cap
+     instead of resetting to zero. *)
   let g = Topology.implicit_ring 100_000 in
   let cap = 1 lsl 15 in
-  let max_seen = ref 0 in
+  let max_seen = ref 0 and inserted = ref 0 in
   for i = 0 to 49 do
-    let s = set [ 90_000 + (i * 10) ] in
+    let s = set (List.init 600 (fun k -> 10 + (k * 150) + (i * 2))) in
     let b = Graph.border g s in
-    Alcotest.(check int) "ring border of singleton" 2 (Node_set.cardinal b);
+    Alcotest.(check int) "two ring neighbours per member" 1200 (Node_set.cardinal b);
+    inserted := !inserted + Node_set.words s + Node_set.words b;
     max_seen := Int.max !max_seen (Graph.memo_resident_words g)
   done;
+  Alcotest.(check bool)
+    (Printf.sprintf "queries weigh %d words, over the residency bound" !inserted)
+    true
+    (!inserted > (3 * cap) + 8192);
   Alcotest.(check bool)
     (Printf.sprintf "residency %d stays under cap + one entry" !max_seen)
     true
@@ -226,7 +233,12 @@ let test_node_set_full () =
         true
         (Node_set.equal (set (List.init n (fun i -> i))) (Node_set.full n)))
     [ 0; 1; 62; 63; 64; 100; 200 ];
-  Alcotest.(check int) "words of full 630" 10 (Node_set.words (Node_set.full 630))
+  (* Ten all-ones words, each stored beside its index. *)
+  Alcotest.(check int) "words of full 630" 20 (Node_set.words (Node_set.full 630));
+  (* The ring's wrap-around pair costs its two words, not the ~16k words
+     between them. *)
+  Alcotest.(check int) "words of {0, 999 999}" 4
+    (Node_set.words (set [ 0; 999_999 ]))
 
 let suite =
   ( "implicit topologies",

@@ -1,6 +1,6 @@
 (* Model-based equivalence of the bitset-backed Node_set against the
-   reference Stdlib functorial set, on random dense, sparse/high-id and
-   empty sets.  The protocol's determinism (and the region ranking's
+   reference Stdlib functorial set, on random dense, sparse/high-id,
+   huge-id and empty sets.  The protocol's determinism (and the region ranking's
    tie-break) relies on the bitset reproducing Set.Make's observable
    behaviour exactly: ascending iteration order and the lexicographic
    [compare].  Also checks the memoized border geometry of Graph. *)
@@ -14,7 +14,11 @@ let sign c = if c < 0 then -1 else if c > 0 then 1 else 0
 let fail fmt = QCheck2.Test.fail_reportf fmt
 
 (* Mixes dense low ids, sparse high ids (word-boundary stress around
-   63/126) and the empty set. *)
+   63/126), ids spread up to 2^40 or clustered just below 10^6 (the top
+   of the million-node rings), and the empty set. *)
+let gen_huge_id =
+  QCheck2.Gen.(oneof [ int_range 0 (1 lsl 40); int_range 999_800 999_999 ])
+
 let gen_ids =
   QCheck2.Gen.(
     oneof
@@ -23,6 +27,7 @@ let gen_ids =
         list_size (int_range 0 12) (int_range 0 4000);
         list_size (int_range 0 20)
           (oneof [ int_range 0 8; int_range 60 68; int_range 120 130 ]);
+        list_size (int_range 0 20) gen_huge_id;
         return [];
       ])
 
@@ -69,7 +74,7 @@ let prop_algebra =
 
 let prop_elementwise =
   QCheck2.Test.make ~name:"element operations match reference model" ~count:500
-    QCheck2.Gen.(pair gen_ids (int_range 0 4100))
+    QCheck2.Gen.(pair gen_ids (oneof [ int_range 0 4100; gen_huge_id ]))
     (fun (xs, probe) ->
       let s = set_of xs and rs = ref_of xs in
       let p = Node_id.of_int probe in
@@ -108,6 +113,18 @@ let prop_higher_order =
       if Node_set.exists keep_id s <> R.exists keep rs then fail "exists mismatch";
       if Node_set.hash s <> Node_set.hash (Node_set.of_list (Node_set.elements s)) then
         fail "hash must agree on equal sets";
+      true)
+
+(* Sorted (index, word) pairs keep only non-zero words, and each holds a
+   member, so a set's weight follows its content, not its largest id. *)
+let prop_words_bound =
+  QCheck2.Test.make ~name:"a set weighs at most two words per member" ~count:500 gen_ids
+    (fun xs ->
+      let s = set_of xs in
+      if Node_set.words s > 2 * Node_set.cardinal s then
+        fail "%a weighs %d words for %d member(s)"
+          Fmt.(Dump.list int)
+          xs (Node_set.words s) (Node_set.cardinal s);
       true)
 
 let prop_random_draws =
@@ -242,6 +259,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_algebra;
       QCheck_alcotest.to_alcotest prop_elementwise;
       QCheck_alcotest.to_alcotest prop_higher_order;
+      QCheck_alcotest.to_alcotest prop_words_bound;
       QCheck_alcotest.to_alcotest prop_random_draws;
       QCheck_alcotest.to_alcotest prop_border_memo;
       Alcotest.test_case "border cache is per-graph" `Quick
