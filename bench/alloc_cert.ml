@@ -146,6 +146,50 @@ let protocol_stale_entry () =
     thunk = (fun () -> ignore (Sys.opaque_identity (Protocol.handle cfg st ev)));
   }
 
+(* lib/core/protocol.ml fingerprint: the model checker rehashes the node
+   that stepped on every move.  Mid-protocol state: one live instance
+   whose round-1 vector holds two of its four border opinions, and one
+   view rejected by a failed outcome.  5 words per call: the one
+   closure over the value hash (header, two code pointers, closure
+   info, environment).  The string rendering it replaced cost 1 608
+   words per call on this state. *)
+let protocol_fingerprint_entry () =
+  let graph = Topology.grid 5 5 in
+  let cfg = Protocol.config ~graph ~propose_value:(fun _ _ -> "d") () in
+  let step st event = fst (Protocol.handle cfg st event) in
+  let deliver src msg = Protocol.Deliver { src = Node_id.of_int src; msg } in
+  let st = step (Protocol.init ~self:(Node_id.of_int 7)) Protocol.Init in
+  let st = step st (Protocol.Crash (Node_id.of_int 12)) in
+  let st =
+    step st
+      (deliver 11
+         (Message.Round
+            {
+              round = 1;
+              view = Node_set.of_ints [ 12 ];
+              border = Node_set.of_ints [ 7; 11; 13; 17 ];
+              opinions = Opinion.Vector.singleton (Node_id.of_int 11) (Opinion.Accept "d");
+            }))
+  in
+  let st =
+    step st
+      (deliver 3
+         (Message.Outcome
+            {
+              view = Node_set.of_ints [ 8 ];
+              border = Node_set.of_ints [ 3; 7; 9; 13 ];
+              opinions = Opinion.Vector.singleton (Node_id.of_int 3) Opinion.Reject;
+            }))
+  in
+  assert (
+    Int.equal (List.length (Protocol.known_views st)) 1
+    && Int.equal (List.length (Protocol.rejected_views st)) 1);
+  {
+    name = "protocol fingerprint (mid-protocol state)";
+    budget = 5.0;
+    thunk = (fun () -> ignore (Sys.opaque_identity (Protocol.fingerprint Hashtbl.hash st)));
+  }
+
 (* lib/detector/failure_detector.ml monitor: steady-state
    re-registration (every target already subscribed) — the word-parallel
    dedup finds nothing fresh and the call returns without allocating. *)
@@ -171,6 +215,7 @@ let entries () =
     node_set_entry ();
     opinion_merge_entry ();
     protocol_stale_entry ();
+    protocol_fingerprint_entry ();
     detector_monitor_entry ();
     engine_entry ();
   ]

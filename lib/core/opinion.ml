@@ -157,6 +157,13 @@ module Vector = struct
       f t.ks.(i) t.vs.(i)
     done
 
+  let fold f t acc =
+    let acc = ref acc in
+    for i = 0 to Array.length t.ks - 1 do
+      acc := f t.ks.(i) t.vs.(i) !acc
+    done;
+    !acc
+
   (* Specialised to a set argument (rather than a predicate closure) so
      the delivery fast path allocates nothing while deciding whether an
      excusal rebuild is needed at all. *)

@@ -51,6 +51,9 @@ module Vector : sig
   val iter : (Node_id.t -> 'v opinion -> unit) -> 'v t -> unit
   (** In increasing node order. *)
 
+  val fold : (Node_id.t -> 'v opinion -> 'a -> 'a) -> 'v t -> 'a -> 'a
+  (** In increasing node order. *)
+
   val rejector_in : 'v t -> Node_set.t -> bool
   (** [rejector_in t set] iff some [Reject] entry's node is a member of
       [set].  Allocation-free (no predicate closure); lets the delivery

@@ -203,71 +203,51 @@ let pp_state pp_value ppf st =
     st.current_view (Array.length st.views)
     (Array.length st.rejected)
 
-let fingerprint value_to_string st =
-  let buffer = Buffer.create 256 in
-  (* [ksprintf] into a local buffer: formatting only, no channel I/O —
-     the one purity exemption in the core machine. *)
-  let add fmt =
-    (Printf.ksprintf [@lint.allow "core-purity"]) (Buffer.add_string buffer) fmt
+(* One multiply-xorshift round (the multiplier is splitmix64's, as in
+   [Node_set.hash]).  For a fixed [h] it is a bijection of [x] and for a
+   fixed [x] a bijection of [h], so two sequences that differ in one
+   element never meet, and the shift folds the high product bits back
+   into the low bits that hash tables bucket on. *)
+let mix h x =
+  let h = (h lxor x) * 0x3f58476d1ce4e5b9 in
+  h lxor (h lsr 29)
+
+(* Every field in a fixed order; each option is tagged and each array
+   framed by its length, so no two structurally distinct states feed
+   [mix] the same sequence.  The [border] of an instance is omitted: it
+   is a function of the view.  Loops over a local [ref] rather than
+   folds, and [value_fp] captured by the one closure [opinion]: a call
+   allocates only that closure. *)
+let fingerprint value_fp st =
+  let set h s = mix h (Node_set.hash s) in
+  let opinion p op h =
+    let h = mix h (Node_id.to_int p) in
+    match op with Opinion.Accept v -> mix (mix h 1) (value_fp v) | Opinion.Reject -> mix h 2
   in
-  let add_set s = add "{%s}" (String.concat "," (List.map string_of_int (Node_set.to_ints s))) in
-  let add_opinion = function
-    | Opinion.Accept v -> add "A(%s)" (value_to_string v)
-    | Opinion.Reject -> add "R"
+  let h = mix 0 (Node_id.to_int st.self) in
+  let h =
+    match st.decided with None -> mix h 0 | Some (v, d) -> mix (set (mix h 1) v) (value_fp d)
   in
-  let add_vector vec =
-    (* Vector entries are iterated in node order: canonical. *)
-    Opinion.Vector.iter
-      (fun p op ->
-        add "%d=" (Node_id.to_int p);
-        add_opinion op;
-        add ";")
-      vec
-  in
-  add "self=%d|" (Node_id.to_int st.self);
-  (match st.decided with
-  | None -> add "decided=-|"
-  | Some (v, d) ->
-      add "decided=";
-      add_set v;
-      add ":%s|" (value_to_string d));
-  (match st.proposed with
-  | None -> add "proposed=-|"
-  | Some v -> add "proposed=%s|" (value_to_string v));
-  add "crashed=";
-  add_set st.locally_crashed;
-  add "|max=";
-  add_set st.max_view;
-  add "|cand=";
-  (match st.candidate_view with None -> add "-" | Some v -> add_set v);
-  add "|vp=";
-  add_set st.current_view;
-  add "|r=%d|inst=" st.round;
-  Array.iteri
-    (fun i view ->
-      let inst = st.insts.(i) in
-      add "[";
-      add_set view;
-      add "~%d~" inst.total_rounds;
-      (* An untouched round slot holds the empty vector, observationally
-         the absent binding of the old per-round map: skip it. *)
-      Array.iteri
-        (fun r vec ->
-          if Opinion.Vector.known vec > 0 then begin
-            add "o%d:" (r + 1);
-            add_vector vec
-          end)
-        inst.opinions;
-      Array.iteri
-        (fun r waiting ->
-          add "w%d:" (r + 1);
-          add_set waiting)
-        inst.waiting;
-      add "]")
-    st.views;
-  add "|rej=";
-  Array.iter (fun v -> add_set v) st.rejected;
-  Buffer.contents buffer
+  let h = match st.proposed with None -> mix h 0 | Some v -> mix (mix h 1) (value_fp v) in
+  let h = set (set h st.locally_crashed) st.max_view in
+  let h = match st.candidate_view with None -> mix h 0 | Some v -> set (mix h 1) v in
+  let h = ref (mix (mix (set h st.current_view) st.round) (Array.length st.views)) in
+  for i = 0 to Array.length st.views - 1 do
+    let inst = st.insts.(i) in
+    h := mix (set !h st.views.(i)) inst.total_rounds;
+    for r = 0 to inst.total_rounds - 1 do
+      let vec = inst.opinions.(r) in
+      h := Opinion.Vector.fold opinion vec (mix !h (Opinion.Vector.known vec))
+    done;
+    for r = 0 to inst.total_rounds - 1 do
+      h := set !h inst.waiting.(r)
+    done
+  done;
+  h := mix !h (Array.length st.rejected);
+  for i = 0 to Array.length st.rejected - 1 do
+    h := set !h st.rejected.(i)
+  done;
+  !h
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)

@@ -166,9 +166,18 @@ val waiting_on : 'v state -> Node_set.t option
 val pp_state :
   (Format.formatter -> 'v -> unit) -> Format.formatter -> 'v state -> unit
 
-val fingerprint : ('v -> string) -> 'v state -> string
-(** Canonical serialization of the full state: two states are
-    behaviourally identical iff their fingerprints are equal (all
-    internal maps are rendered as sorted bindings).  Used by the
-    exhaustive model checker ({!Cliffedge_mcheck.Explorer}) to
-    deduplicate visited configurations. *)
+val fingerprint : ('v -> int) -> 'v state -> int
+(** [fingerprint value_fp st] hashes the full state: every field in a
+    fixed order, sets through {!Cliffedge_graph.Node_set.hash}, values
+    through [value_fp], each option tagged and each variable-length
+    part framed by its length.  Behaviourally identical states have
+    equal fingerprints; when [value_fp] separates distinct values,
+    distinct states collide with probability about 2{^-63} per pair.
+    Used by the exhaustive model checker
+    ({!Cliffedge_mcheck.Explorer}) to deduplicate visited
+    configurations, once per step of the node that stepped. *)
+
+val mix : int -> int -> int
+(** [mix h x] folds [x] into the running fingerprint [h]: the one
+    mixing step of {!fingerprint}, for callers that combine state
+    fingerprints into a larger one. *)

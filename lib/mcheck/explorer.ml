@@ -62,8 +62,12 @@ module Channel_map = Map.Make (struct
   let compare = pair_compare
 end)
 
+(* A live node's protocol state beside its fingerprint: a move steps
+   one node, so only that node is rehashed. *)
+type node = { state : string Protocol.state; fp : int }
+
 type world = {
-  alive : string Protocol.state Node_map.t;
+  alive : node Node_map.t;
   crashed : Node_set.t;
   channels : string Message.t list Channel_map.t;  (* head = next to deliver *)
   pending_crashes : Node_id.t list;  (* injected in this order *)
@@ -89,41 +93,43 @@ let pp_move = function
   | Drop (s, d) -> Printf.sprintf "drop(%d->%d)" s d
   | Dup (s, d) -> Printf.sprintf "dup(%d->%d)" s d
 
-let sorted_insert x l = List.sort_uniq pair_compare (x :: l)
+(* [l] with [x] inserted in order; [l] itself, physically, when [x] is
+   already there. *)
+let rec sorted_insert x l =
+  match l with
+  | [] -> [ x ]
+  | y :: rest ->
+      let c = pair_compare x y in
+      if c < 0 then x :: l
+      else if Int.equal c 0 then l
+      else
+        let rest' = sorted_insert x rest in
+        if rest' == rest then l else y :: rest'
 
 (* Canonical state fingerprints.
 
-   The visited-state table used to key on an MD5 digest of a formatted
-   rendering of the whole world (~a kilobyte of intermediate string per
-   state).  It now streams every state component through a 64-bit FNV-1a
-   accumulator truncated to OCaml's immediate-int range: no buffers, no
-   digest, and visited entries are unboxed ints.  At the X10 scope
-   (< 10^6 states) the 63-bit collision odds are ~10^-7, far below any
-   practical concern for deduplication. *)
+   The visited-state table keys on one int per world, mixed by
+   [Protocol.mix] from each live node's cached [Protocol.fingerprint]
+   and the explorer's own components.  Every list is framed by a tag
+   and its length.  Decisions are kept in decision order (the leaf
+   checks report in that order) but enter the fingerprint as a sum of
+   per-decision hashes, which does not depend on the order.  At the X10
+   scope (< 10^6 states) the 63-bit collision odds are ~10^-7. *)
 
-let fnv_prime = 0x100000001B3L
+let mix = Protocol.mix
 
-let mix h x = Int64.mul (Int64.logxor h (Int64.of_int x)) fnv_prime
+let value_fp s = String.fold_left (fun h c -> mix h (Char.code c)) (String.length s) s
 
-let mix_string h s =
-  let h = ref (mix h (String.length s)) in
-  String.iter (fun c -> h := mix !h (Char.code c)) s;
-  !h
+let mix_set h s = mix h (Node_set.hash s)
 
-let mix_set h s =
-  Node_set.fold (fun p h -> mix h (Node_id.to_int p)) s (mix h (Node_set.cardinal s))
+let mix_opinion p op h =
+  let h = mix h (Node_id.to_int p) in
+  match op with
+  | Opinion.Accept v -> mix (mix h 1) (value_fp v)
+  | Opinion.Reject -> mix h 2
 
 let mix_opinions h vec =
-  let h = ref h in
-  Opinion.Vector.iter
-    (fun p op ->
-      let hp = mix !h (Node_id.to_int p) in
-      h :=
-        match op with
-        | Opinion.Accept v -> mix_string (mix hp 1) v
-        | Opinion.Reject -> mix hp 2)
-    vec;
-  !h
+  Opinion.Vector.fold mix_opinion vec (mix h (Opinion.Vector.known vec))
 
 let mix_message h msg =
   match msg with
@@ -132,37 +138,32 @@ let mix_message h msg =
   | Message.Outcome { view; opinions; _ } ->
       mix_opinions (mix_set (mix h 4) view) opinions
 
+let mix_pairs h tag l =
+  List.fold_left (fun h (a, b) -> mix (mix h a) b) (mix (mix h tag) (List.length l)) l
+
 let world_fp w =
-  let h = ref 0xcbf29ce484222325L in
-  Node_map.iter
-    (fun p st ->
-      h := mix_string (mix !h (Node_id.to_int p)) (Protocol.fingerprint Fun.id st))
-    w.alive;
-  h := mix_set (mix !h 5) w.crashed;
-  Channel_map.iter
-    (fun (s, d) msgs ->
-      h := mix (mix (mix !h 6) s) d;
-      List.iter (fun m -> h := mix_message !h m) msgs)
-    w.channels;
-  h := mix !h 7;
-  List.iter (fun q -> h := mix !h (Node_id.to_int q)) w.pending_crashes;
-  h := mix !h 8;
-  List.iter (fun (o, c) -> h := mix (mix !h o) c) w.pending_notifs;
-  h := mix !h 9;
-  List.iter (fun (o, t) -> h := mix (mix !h o) t) w.subs;
-  h := mix (mix (mix !h 11) w.drops_left) w.dups_left;
-  h := mix !h 10;
-  List.iter
-    (fun (p, v, d) -> h := mix_string (mix_set (mix !h (Node_id.to_int p)) v) d)
-    (List.sort
-       (fun (p1, v1, d1) (p2, v2, d2) ->
-         let c = Node_id.compare p1 p2 in
-         if c <> 0 then c
-         else
-           let c = Node_set.compare v1 v2 in
-           if c <> 0 then c else String.compare d1 d2)
-       w.decisions);
-  Int64.to_int !h land max_int
+  let h = Node_map.fold (fun p n h -> mix (mix h (Node_id.to_int p)) n.fp) w.alive 0 in
+  let h = mix_set (mix h 5) w.crashed in
+  let h =
+    Channel_map.fold
+      (fun (s, d) msgs h ->
+        List.fold_left mix_message (mix (mix (mix (mix h 6) s) d) (List.length msgs)) msgs)
+      w.channels h
+  in
+  let h =
+    List.fold_left
+      (fun h q -> mix h (Node_id.to_int q))
+      (mix (mix h 7) (List.length w.pending_crashes))
+      w.pending_crashes
+  in
+  let h = mix_pairs (mix_pairs h 8 w.pending_notifs) 9 w.subs in
+  let h = mix (mix (mix h 11) w.drops_left) w.dups_left in
+  let decisions =
+    List.fold_left
+      (fun acc (p, v, d) -> acc + mix (mix_set (mix 0 (Node_id.to_int p)) v) (value_fp d))
+      0 w.decisions
+  in
+  mix (mix (mix h 10) (List.length w.decisions)) decisions
 
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
@@ -182,11 +183,14 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
   and leaves = ref 0
   and violations = ref []
   and truncated = ref false in
+  (* [trace] is the schedule so far as moves, newest first: rendered
+     only for the violations kept. *)
   let report property trace fmt =
     Format.kasprintf
       (fun description ->
         if List.length !violations < 10 then
-          violations := { property; description; trace = List.rev trace } :: !violations)
+          violations :=
+            { property; description; trace = List.rev_map pp_move trace } :: !violations)
       fmt
   in
   (* -------------------- decide-time safety checks ------------------ *)
@@ -228,9 +232,10 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
                 if Node_id.equal target p then w
                 else
                   let key = (Node_id.to_int p, Node_id.to_int target) in
-                  if List.exists (pair_equal key) w.subs then w
+                  let subs = sorted_insert key w.subs in
+                  if subs == w.subs then w
                   else
-                    let w = { w with subs = sorted_insert key w.subs } in
+                    let w = { w with subs } in
                     if Node_set.mem target w.crashed then
                       { w with pending_notifs = sorted_insert key w.pending_notifs }
                     else w)
@@ -252,9 +257,14 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
   and step_node trace w p event =
     match Node_map.find_opt p w.alive with
     | None -> w (* crashed meanwhile; event is void *)
-    | Some st ->
-        let st, actions = Protocol.handle cfg st event in
-        let w = { w with alive = Node_map.add p st w.alive } in
+    | Some node ->
+        let state, actions = Protocol.handle cfg node.state event in
+        let w =
+          if state == node.state then w
+          else
+            let node = { state; fp = Protocol.fingerprint value_fp state } in
+            { w with alive = Node_map.add p node w.alive }
+        in
         apply_actions trace w p actions
   in
   (* -------------------- enabled moves ------------------------------ *)
@@ -455,7 +465,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
             List.iter
               (fun move ->
                 incr transitions;
-                let trace = pp_move move :: trace in
+                let trace = move :: trace in
                 dfs trace (apply_move trace w move))
               moves
       end
@@ -468,7 +478,9 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
       {
         alive =
           Node_set.fold
-            (fun p acc -> Node_map.add p (Protocol.init ~self:p) acc)
+            (fun p acc ->
+              let state = Protocol.init ~self:p in
+              Node_map.add p { state; fp = Protocol.fingerprint value_fp state } acc)
             (Graph.nodes graph) Node_map.empty;
         crashed = Node_set.empty;
         channels = Channel_map.empty;
@@ -484,10 +496,8 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
       }
     in
     (* Initialisation is not a scheduling choice: all nodes boot before
-       the first crash. *)
-    Node_set.fold
-      (fun p w -> step_node [ "init" ] w p Protocol.Init)
-      (Graph.nodes graph) w
+       the first crash, so it precedes every move of a trace. *)
+    Node_set.fold (fun p w -> step_node [] w p Protocol.Init) (Graph.nodes graph) w
   in
   (match mode with
   | Exhaustive -> dfs [] initial
@@ -508,7 +518,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
           | moves ->
               let move = Cliffedge_prng.Prng.choose rng moves in
               incr transitions;
-              let trace = pp_move move :: trace in
+              let trace = move :: trace in
               walk trace (apply_move trace w move)
         in
         walk [] initial

@@ -4,9 +4,14 @@
     enumerates {e every} schedule of a small configuration: all
     interleavings of message deliveries (FIFO per ordered channel),
     failure-detector notifications and crash injections.  States are
-    deduplicated through {!Cliffedge.Protocol.fingerprint}, so the
-    search is over the reachable state graph rather than the (much
-    larger) tree of schedules.
+    deduplicated by an int fingerprint, so the search is over the
+    reachable state graph rather than the (much larger) tree of
+    schedules.  A world keeps each live node's
+    {!Cliffedge.Protocol.fingerprint} beside its state; a move steps one
+    node, so only that node is rehashed, and the world's fingerprint
+    mixes the cached ints with the channels and pending lists.
+    Counterexample traces are kept as moves and rendered only for the
+    violations reported.
 
     The explorer runs its own property checks; it does not call
     {!Cliffedge.Checker}.  CD1, CD2 and CD5 are checked at every

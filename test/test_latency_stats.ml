@@ -183,6 +183,58 @@ let prop_faults_pp_roundtrip =
     ~print:(Format.asprintf "%a" Faults.pp) gen_faults (fun plan ->
       Faults.of_string (Format.asprintf "%a" Faults.pp plan) = Ok plan)
 
+(* Specs as a hand or a script gets them wrong: a valid spec with one
+   to four mutations, each a byte replaced, a byte deleted, two spans
+   swapped, or a hostile token inserted.  Shared with the topology
+   spec fuzz. *)
+let gen_mutated valid =
+  QCheck2.Gen.(
+    let tokens =
+      [ "nan"; "-inf"; "inf"; "1e308"; "4611686018427387904"; "-1"; "0"; ":"; "-"; "," ]
+    in
+    let mutate s =
+      let n = String.length s in
+      let cut i j = String.sub s i (j - i) in
+      let replace =
+        let* i = int_bound (n - 1) and* c = oneof [ char; oneofl [ ':'; '-'; ','; 'x'; '.'; 'e' ] ] in
+        return (String.mapi (fun j d -> if Int.equal i j then c else d) s)
+      in
+      let delete =
+        let+ i = int_bound (n - 1) in
+        cut 0 i ^ cut (i + 1) n
+      in
+      let swap =
+        let+ points = list_repeat 4 (int_bound n) in
+        match List.sort Int.compare points with
+        | [ a; b; c; d ] -> cut 0 a ^ cut c d ^ cut b c ^ cut a b ^ cut d n
+        | _ -> s
+      in
+      let insert =
+        let+ i = int_bound n and+ token = oneofl tokens in
+        cut 0 i ^ token ^ cut i n
+      in
+      if Int.equal n 0 then insert else oneof [ replace; delete; swap; insert ]
+    in
+    let rec mutations k s = if Int.equal k 0 then return s else mutate s >>= mutations (k - 1) in
+    let* s = valid and* k = int_range 1 4 in
+    mutations k s)
+
+(* A malformed spec is an [Error], never an exception. *)
+let prop_mutated_specs_never_raise =
+  QCheck2.Test.make ~name:"latency and fault parsers never raise on mutated specs"
+    ~count:2000 ~print:QCheck2.Print.string
+    (gen_mutated
+       QCheck2.Gen.(
+         oneof
+           [
+             map (Format.asprintf "%a" Latency.pp) gen_latency;
+             map (Format.asprintf "%a" Faults.pp) gen_faults;
+           ]))
+    (fun s ->
+      (match Latency.of_string s with Ok _ | Error _ -> ());
+      (match Faults.of_string s with Ok _ | Error _ -> ());
+      true)
+
 let test_faults_cut_active () =
   match Faults.of_string "cut:10-20:1-2" with
   | Error e -> Alcotest.fail e
@@ -283,6 +335,7 @@ let suite =
       Alcotest.test_case "faults cut active" `Quick test_faults_cut_active;
       QCheck_alcotest.to_alcotest prop_latency_pp_roundtrip;
       QCheck_alcotest.to_alcotest prop_faults_pp_roundtrip;
+      QCheck_alcotest.to_alcotest prop_mutated_specs_never_raise;
       Alcotest.test_case "stats counters" `Quick test_stats_counters;
       Alcotest.test_case "stats fault counters" `Quick test_stats_fault_counters;
       Alcotest.test_case "dot output" `Quick test_dot_output;

@@ -90,6 +90,15 @@ let test_deterministic () =
   Alcotest.(check int) "transitions" a.transitions b.transitions;
   Alcotest.(check int) "leaves" a.leaves b.leaves
 
+let test_star5_hub_pinned () =
+  (* Thirty times X10's largest row: a fingerprint collision would merge
+     two states and move these counts. *)
+  let stats = Explorer.explore ~graph:(Topology.star 5) ~crashes:[ n 0 ] () in
+  Alcotest.(check int) "states" 26_997 stats.states_explored;
+  Alcotest.(check int) "transitions" 144_541 stats.transitions;
+  Alcotest.(check int) "leaves" 5 stats.leaves;
+  Alcotest.(check bool) "ok" true (Explorer.ok stats)
+
 let test_no_crashes_trivial () =
   let stats = Explorer.explore ~graph:(Topology.path 3) ~crashes:[] () in
   Alcotest.(check bool) "ok" true (Explorer.ok stats);
@@ -114,6 +123,7 @@ let suite =
         test_adjacent_domains_exhaustive;
       Alcotest.test_case "truncation reported" `Quick test_truncation_reported;
       Alcotest.test_case "deterministic" `Quick test_deterministic;
+      Alcotest.test_case "star5 hub pinned" `Quick test_star5_hub_pinned;
       Alcotest.test_case "no crashes" `Quick test_no_crashes_trivial;
     ] )
 

@@ -179,9 +179,9 @@ let walk ~early_stopping seed =
         check_step before (snapshot st !proposals)
   done;
   (* Fingerprints are deterministic and total. *)
-  let fp1 = Protocol.fingerprint Fun.id !state in
-  let fp2 = Protocol.fingerprint Fun.id !state in
-  String.equal fp1 fp2
+  let fp1 = Protocol.fingerprint Hashtbl.hash !state in
+  let fp2 = Protocol.fingerprint Hashtbl.hash !state in
+  Int.equal fp1 fp2
 
 let prop_invariants =
   QCheck2.Test.make ~name:"protocol invariants under adversarial event walks"
@@ -210,9 +210,52 @@ let prop_fingerprint_replay =
           | None -> ()
           | Some e -> st := fst (Protocol.handle c !st e)
         done;
-        Protocol.fingerprint Fun.id !st
+        Protocol.fingerprint Hashtbl.hash !st
       in
-      String.equal (run ()) (run ()))
+      Int.equal (run ()) (run ()))
+
+(* The model checker merges states by fingerprint, so over a walk's
+   states an equal fingerprint must mean equal observables.  Every state
+   is checked against the first one seen with its fingerprint, so a
+   step that changes the rendered state but not the fingerprint fails
+   too. *)
+let prop_fingerprint_separates =
+  QCheck2.Test.make ~name:"equal fingerprints mean equal observable states" ~count:100
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let c = cfg ~early_stopping:(Int.equal (seed mod 2) 0) in
+      let observe st =
+        ( Format.asprintf "%a" (Protocol.pp_state Format.pp_print_string) st,
+          Protocol.known_views st,
+          Protocol.rejected_views st,
+          Protocol.waiting_on st )
+      in
+      let same_observables (pp1, known1, rej1, wait1) (pp2, known2, rej2, wait2) =
+        String.equal pp1 pp2
+        && List.equal Node_set.equal known1 known2
+        && List.equal Node_set.equal rej1 rej2
+        && Option.equal Node_set.equal wait1 wait2
+      in
+      let seen = Hashtbl.create 64 in
+      let visit st =
+        let fp = Protocol.fingerprint Hashtbl.hash st in
+        match Hashtbl.find_opt seen fp with
+        | Some o when not (same_observables o (observe st)) ->
+            QCheck2.Test.fail_report "equal fingerprints, different observables"
+        | Some _ -> ()
+        | None -> Hashtbl.add seen fp (observe st)
+      in
+      let st = ref (fst (Protocol.handle c (Protocol.init ~self) Protocol.Init)) in
+      visit !st;
+      for _ = 1 to 60 do
+        match random_event rng !st with
+        | None -> ()
+        | Some e ->
+            st := fst (Protocol.handle c !st e);
+            visit !st
+      done;
+      true)
 
 let suite =
   ( "protocol invariants",
@@ -220,4 +263,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_invariants;
       QCheck_alcotest.to_alcotest prop_invariants_early;
       QCheck_alcotest.to_alcotest prop_fingerprint_replay;
+      QCheck_alcotest.to_alcotest prop_fingerprint_separates;
     ] )

@@ -205,6 +205,17 @@ let prop_spec_pp_roundtrip =
     ~print:(Format.asprintf "%a" Topology.pp_spec) gen_spec (fun spec ->
       Topology.spec_of_string (Format.asprintf "%a" Topology.pp_spec spec) = Ok spec)
 
+(* Parse only: a mutated size can ask for gigabytes, so nothing is
+   built from the result. *)
+let prop_mutated_specs_never_raise =
+  QCheck2.Test.make ~name:"spec_of_string never raises on mutated specs" ~count:2000
+    ~print:QCheck2.Print.string
+    (Test_latency_stats.gen_mutated
+       (QCheck2.Gen.map (Format.asprintf "%a" Topology.pp_spec) gen_spec))
+    (fun s ->
+      (match Topology.spec_of_string s with Ok _ | Error _ -> ());
+      true)
+
 let suite =
   ( "topology",
     [
@@ -226,4 +237,5 @@ let suite =
       Alcotest.test_case "spec rejects garbage" `Quick test_spec_rejects_garbage;
       Alcotest.test_case "accepted specs build" `Quick test_spec_accepted_builds;
       QCheck_alcotest.to_alcotest prop_spec_pp_roundtrip;
+      QCheck_alcotest.to_alcotest prop_mutated_specs_never_raise;
     ] )
