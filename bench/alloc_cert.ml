@@ -13,7 +13,10 @@
    Budgets are exact small-word counts (a result tuple is 3 words, an
    engine event its entry and boxed time), with 1/16 word of slack for
    the counter reads themselves; they are NOT noise-scaled thresholds —
-   an extra allocation on any of these paths is a bug, not a drift. *)
+   an extra allocation on any of these paths is a bug, not a drift.
+   The two substrate rows are whole delivery paths rather than
+   certified entries: their budgets are measured costs that a rewrite
+   of the path may not exceed. *)
 
 open Cliffedge_graph
 module Protocol = Cliffedge.Protocol
@@ -22,7 +25,10 @@ module Opinion = Cliffedge.Opinion
 module Engine = Cliffedge_sim.Engine
 module Prng = Cliffedge_prng.Prng
 module Failure_detector = Cliffedge_detector.Failure_detector
+module Substrate = Cliffedge_detector.Substrate
 module Latency = Cliffedge_net.Latency
+module Faults = Cliffedge_net.Faults
+module Transport = Cliffedge_net.Transport
 module Table = Cliffedge_report.Table
 module Json = Cliffedge_report.Json
 
@@ -199,7 +205,7 @@ let detector_monitor_entry () =
   let fd =
     Failure_detector.create ~engine ~rng
       ~latency:(Latency.Uniform { min = 1.0; max = 10.0 })
-      ()
+      ~crashed:(Node_id.Tbl.create 1) ()
   in
   let observer = Node_id.of_int 9 in
   let targets = Node_set.of_ints [ 1; 2; 3; 4 ] in
@@ -210,6 +216,32 @@ let detector_monitor_entry () =
     thunk = (fun () -> Failure_detector.monitor fd ~observer ~targets);
   }
 
+(* lib/detector/substrate.ml down to lib/net: one logical send between
+   two live nodes, then the engine run to quiescence with a no-op
+   handler, obs recording included — the [Send] and [Deliver] events,
+   the envelope, the channel records, the per-pair count and the engine
+   events, all of it per message.  Over ARQ on a loss-free plan the
+   message also carries its data frame, the ack that answers it, and
+   the retransmission timer that the ack cancels.  The budgets are what
+   the pair-key tables cost (88 and 184 words), so the channel records
+   that replaced them may not allocate more per message. *)
+let substrate_entry ~name ~budget channel =
+  let latency = Latency.Uniform { min = 1.0; max = 10.0 } in
+  let sub =
+    Substrate.create ~channel ~seed:7 ~message_latency:latency ~detection_latency:latency
+      ~channel_consistent_fd:true ()
+  in
+  Substrate.on_deliver sub (fun ~src:_ ~dst:_ () -> ());
+  let src = Node_id.of_int 1 and dst = Node_id.of_int 2 in
+  {
+    name;
+    budget;
+    thunk =
+      (fun () ->
+        Substrate.send sub ~src ~dst ();
+        Substrate.run ~max_events:max_int sub);
+  }
+
 let entries () =
   [
     node_set_entry ();
@@ -218,6 +250,10 @@ let entries () =
     protocol_fingerprint_entry ();
     detector_monitor_entry ();
     engine_entry ();
+    substrate_entry ~name:"substrate: reliable send -> delivery" ~budget:88.0
+      Transport.Reliable;
+    substrate_entry ~name:"substrate: ARQ send -> delivery -> ack" ~budget:184.0
+      (Transport.Arq_over_faulty (Faults.none, Transport.default_policy));
   ]
 
 (* Slack for the boxed floats of the two counter reads, amortised over

@@ -1162,10 +1162,10 @@ let trace_smoke () =
 
 (* Minor words allocated by one checked agreement (Runner.run then
    Checker.check) on an 8-node compact region seeded at node [seed] of
-   a fresh million-node implicit ring.  The graph is fresh so that both
-   placements start from empty memos. *)
-let region_run_words seed =
-  let graph = Topology.implicit_ring 1_000_000 in
+   a fresh [n]-node implicit ring.  The graph is fresh so that every
+   placement starts from empty memos. *)
+let region_run_words ?(n = 1_000_000) seed =
+  let graph = Topology.implicit_ring n in
   let region = Fault_gen.compact_region graph ~seed_node:(Node_id.of_int seed) ~size:8 in
   let crashes = Fault_gen.crash_at 10.0 region in
   let before = Gc.minor_words () in
@@ -1180,9 +1180,10 @@ let region_run_words seed =
    generous (CI machines vary): they catch only an O(N)-per-crash or
    O(N)-resident regression outright, and [compare] does not read the
    largen section the numbers are recorded in.  Last, the same
-   agreement at the bottom and at the top of a million-node id range
-   must allocate within 2x of each other: a run's cost follows its
-   region, not the magnitude of the region's ids. *)
+   agreement at the bottom and at the top of a million-node id range,
+   and just below 2^40 on a 2^40-node ring, must allocate within 2x of
+   the bottom one: a run's cost follows its region, not the magnitude
+   of the region's ids. *)
 let largen_smoke () =
   let n = 100_000 in
   let ce, ce_ms = implicit_ring_run n in
@@ -1198,11 +1199,13 @@ let largen_smoke () =
   assert (per_crash_us <= 500.0);
   assert (resident <= 65_536);
   let low = region_run_words 100 and high = region_run_words 999_900 in
+  let huge = region_run_words ~n:(1 lsl 40) ((1 lsl 40) - 100) in
   Format.printf
     "id magnitude (implicit ring, N=10^6, 8-node region): %.0f minor words at id 100, \
-     %.0f at id 999900 (%.2fx)@."
-    low high (high /. low);
+     %.0f at id 999900 (%.2fx); N=2^40: %.0f at id 2^40-100 (%.2fx)@."
+    low high (high /. low) huge (huge /. low);
   assert (high <= 2.0 *. low);
+  assert (huge <= 2.0 *. low);
   Json_out.record ~section:"largen"
     [
       ( "implicit_ring_100k",
@@ -1218,6 +1221,7 @@ let largen_smoke () =
           [
             ("minor_words_at_id_100", Cliffedge_report.Json.Float low);
             ("minor_words_at_id_999900", Cliffedge_report.Json.Float high);
+            ("minor_words_at_id_2p40_minus_100", Cliffedge_report.Json.Float huge);
           ] );
     ]
 

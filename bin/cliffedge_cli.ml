@@ -146,14 +146,14 @@ let options ~seed ~no_early ~raw_fd ~msg_latency ~fd_latency ~faults ~transport 
    (the seed node's component is too small, or the cascade exhausts it),
    and then no correct node can decide, which CD7 would blame on the
    protocol.  The seed node is drawn here, as [Fault_gen.connected_region]
-   draws it, so that the error can name it. *)
+   draws it ([Fault_gen.random_node]), so that the error can name it. *)
 let build_workload ~option ~spec ~seed ~region_size ~cascade =
   let rng = Prng.create seed in
   let graph = Topology.build rng spec in
   match Fault_gen.check_size graph ~size:region_size with
   | Error e -> Error (`Msg (Printf.sprintf "option '%s': %s" option e))
   | Ok () ->
-      let seed_node = Node_set.random_element rng (Graph.nodes graph) in
+      let seed_node = Fault_gen.random_node rng graph in
       let region =
         Fault_gen.connected_region_from rng graph ~seed_node ~size:region_size
       in

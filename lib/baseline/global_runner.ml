@@ -51,7 +51,7 @@ let run ?(options = default_options) ~graph ~crashes () =
         decisions := { node = p; value; time = Engine.now engine } :: !decisions
   in
   let dispatch p event =
-    if not (Failure_detector.is_crashed detector p) then begin
+    if not (Substrate.is_crashed substrate p) then begin
       let cell = Hashtbl.find states (Node_id.to_int p) in
       let st, actions = Flooding.handle !cell event in
       cell := st;
@@ -73,7 +73,7 @@ let run ?(options = default_options) ~graph ~crashes () =
     graph;
     decisions = List.sort (fun a b -> Float.compare a.time b.time) !decisions;
     stats = Substrate.stats substrate;
-    crashed = Failure_detector.crashed_nodes detector;
+    crashed = Substrate.crashed_nodes substrate;
     duration = Engine.now engine;
     engine_events = Engine.events_processed engine;
     quiescent = Engine.pending engine = 0;

@@ -36,7 +36,7 @@ let run ?(options = Global_runner.default_options) ~graph ~crashes () =
     | Membership.Install _ -> ()
   in
   let dispatch p event =
-    if not (Failure_detector.is_crashed detector p) then begin
+    if not (Substrate.is_crashed substrate p) then begin
       let cell = Hashtbl.find states (Node_id.to_int p) in
       let st, actions = Membership.handle !cell event in
       cell := st;
@@ -54,7 +54,7 @@ let run ?(options = Global_runner.default_options) ~graph ~crashes () =
   Node_set.iter (fun p -> dispatch p Membership.Init) (Graph.nodes graph);
   Substrate.schedule_crashes substrate crashes;
   Substrate.run ~max_events:options.Global_runner.max_events substrate;
-  let crashed = Failure_detector.crashed_nodes detector in
+  let crashed = Substrate.crashed_nodes substrate in
   let survivors =
     Hashtbl.fold
       (fun p cell acc ->

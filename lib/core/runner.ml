@@ -70,6 +70,23 @@ type 'v stepper = {
   decision : unit -> (View.t * 'v) option;
 }
 
+(* An activated node: its stepper, and per consensus instance (a handful,
+   searched by view) the seq of the last round-chain event it recorded,
+   so propose -> round -> ... -> decide threads within an instance even
+   when deliveries of other instances interleave. *)
+type tip = { instance : View.t; mutable last : int }
+
+type 'v node = { stepper : 'v stepper; mutable tips : tip list }
+
+let rec find_tip view = function
+  | [] -> None
+  | tip :: tl -> if Node_set.equal tip.instance view then Some tip else find_tip view tl
+
+let set_tip node view seq =
+  match find_tip view node.tips with
+  | Some tip -> tip.last <- seq
+  | None -> node.tips <- { instance = view; last = seq } :: node.tips
+
 let protocol_stepper cfg ~self =
   let cell = ref (Protocol.init ~self) in
   {
@@ -113,42 +130,22 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
       ~channel_consistent_fd:options.channel_consistent_fd ()
   in
   let { Substrate.engine; detector; obs; _ } = substrate in
-  (* Steppers of the activated nodes only: a run that touches a region
-     of a million-node graph holds steppers for the region's
-     neighbourhood, whatever the region's ids. *)
-  let steppers = Node_id.Tbl.create 16 in
+  (* The activated nodes only: a run that touches a region of a
+     million-node graph holds nodes for the region's neighbourhood,
+     whatever the region's ids. *)
+  let nodes = Node_id.Tbl.create 16 in
   let decisions = ref [] in
-  (* Seq of the last round-chain event ([Propose]/[Round]/...) each node
-     recorded per consensus instance, so the chain
-     propose -> round -> ... -> decide threads within an instance even
-     when deliveries of other instances interleave.  Instances get a
-     dense id through a view-keyed table, and a (node, instance) slot is
-     one immediate [Node_id.pair_key]. *)
-  let instance_ids : int Node_set.Tbl.t = Node_set.Tbl.create 16 in
-  let instance_last : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let chain_slot p view =
-    let id =
-      match Node_set.Tbl.find_opt instance_ids view with
-      | Some id -> id
-      | None ->
-          let id = Node_set.Tbl.length instance_ids in
-          Node_set.Tbl.add instance_ids view id;
-          id
-    in
-    Node_id.pair_key (Node_id.of_int id) p
-  in
-  let chain_parent slot =
-    match Hashtbl.find_opt instance_last slot with
-    | Some _ as parent -> parent
+  let chain_parent node view =
+    match find_tip view node.tips with
+    | Some tip -> Some tip.last
     | None -> Obs.Log.context obs
   in
   let observe ?parent p view kind =
     Obs.Log.record obs ~time:(Engine.now engine) ~node:p ~instance:view ?parent kind
   in
   (* Records a round-chain event and makes it the chain's new tip. *)
-  let extend_chain p view kind =
-    let slot = chain_slot p view in
-    Hashtbl.replace instance_last slot (observe ?parent:(chain_parent slot) p view kind)
+  let extend_chain p node view kind =
+    set_tip node view (observe ?parent:(chain_parent node view) p view kind)
   in
   (* Whether a step's actions include a [Send] at all: the batching
      scope only affects message envelopes, so pure local steps (Init's
@@ -158,40 +155,37 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
     | Protocol.Send _ :: _ -> true
     | _ :: tl -> has_send tl
   in
-  let rec execute p action =
+  let rec execute p node action =
     match action with
     | Protocol.Monitor targets ->
         Failure_detector.monitor detector ~observer:p ~targets
     | Protocol.Send { dst; msg } ->
         Substrate.send substrate ~units:(Message.units msg) ~src:p ~dst msg
     | Protocol.Decide { view; value } ->
-        let seq =
-          observe ?parent:(chain_parent (chain_slot p view)) p view Obs.Event.Decide
-        in
+        let seq = observe ?parent:(chain_parent node view) p view Obs.Event.Decide in
         decisions :=
           { node = p; view; value; time = Engine.now engine; event = Some seq }
           :: !decisions
     | Protocol.Note (Protocol.Proposed view) ->
-        Hashtbl.replace instance_last (chain_slot p view)
-          (observe ?parent:(Obs.Log.context obs) p view Obs.Event.Propose)
+        set_tip node view (observe ?parent:(Obs.Log.context obs) p view Obs.Event.Propose)
     | Protocol.Note (Protocol.Rejected_view view) ->
         ignore (observe ?parent:(Obs.Log.context obs) p view Obs.Event.Reject)
     | Protocol.Note (Protocol.Attempt_failed view) ->
-        extend_chain p view Obs.Event.Abort
+        extend_chain p node view Obs.Event.Abort
     | Protocol.Note (Protocol.Advanced_round { view; round }) ->
-        extend_chain p view (Obs.Event.Round { round })
+        extend_chain p node view (Obs.Event.Round { round })
     | Protocol.Note (Protocol.Early_outcome { view; success }) ->
-        extend_chain p view (Obs.Event.Early_outcome { success })
-  and step p stepper event =
-    match stepper.step event with
+        extend_chain p node view (Obs.Event.Early_outcome { success })
+  and step p node event =
+    match node.stepper.step event with
     | [] -> ()
     | actions ->
         (* One batching scope per protocol step: everything this step
            sends to a given neighbour — a cascade of round advances, a
            rejection plus a proposal — rides one envelope. *)
         if has_send actions then
-          Substrate.batched substrate (fun () -> List.iter (execute p) actions)
-        else List.iter (execute p) actions
+          Substrate.batched substrate (fun () -> List.iter (execute p node) actions)
+        else List.iter (execute p node) actions
   (* A node comes up — its stepper is built and fed [Init] — at its
      first contact with the run: a crash at or next to it, a false
      suspicion it observes, or a delivery.  Init of a node with no
@@ -201,15 +195,15 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
      node has a crashed neighbour only if that neighbour's own crash
      activated it first. *)
   and active p =
-    match Node_id.Tbl.find_opt steppers p with
-    | Some stepper -> stepper
+    match Node_id.Tbl.find_opt nodes p with
+    | Some node -> node
     | None ->
-        let stepper = make p in
-        Node_id.Tbl.add steppers p stepper;
-        step p stepper Protocol.Init;
-        stepper
+        let node = { stepper = make p; tips = [] } in
+        Node_id.Tbl.add nodes p node;
+        step p node Protocol.Init;
+        node
   and dispatch p event =
-    if not (Failure_detector.is_crashed detector p) then step p (active p) event
+    if not (Substrate.is_crashed substrate p) then step p (active p) event
   in
   let ensure_active p = ignore (active p) in
   Substrate.on_deliver substrate (fun ~src ~dst msg ->
@@ -233,9 +227,9 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
   Substrate.run ~max_events:options.max_events substrate;
   let states =
     Node_id.Tbl.fold
-      (fun p stepper acc ->
-        match stepper.flat_state () with Some st -> (p, st) :: acc | None -> acc)
-      steppers []
+      (fun p node acc ->
+        match node.stepper.flat_state () with Some st -> (p, st) :: acc | None -> acc)
+      nodes []
     |> List.sort (fun (p, _) (q, _) -> Node_id.compare p q)
   in
   {
@@ -254,7 +248,7 @@ let run_stepper ?(options = default_options) ~graph ~crashes ~make () =
               (Option.value ~default:0 b.event))
         !decisions;
     stats = Substrate.stats substrate;
-    crashed = Failure_detector.crashed_nodes detector;
+    crashed = Substrate.crashed_nodes substrate;
     duration = Engine.now engine;
     engine_events = Engine.events_processed engine;
     quiescent = Engine.pending engine = 0;

@@ -110,10 +110,10 @@ val run :
   unit ->
   'v outcome
 (** Runs one scenario.  [crashes] pairs a virtual crash time with the
-    node to kill; killing the same node twice is ignored.  [rank]
-    overrides the region ranking's free tiebreak (see
-    {!Protocol.config}); all nodes share it.
-    @raise Invalid_argument if a crash names a node outside the graph. *)
+    node to kill.  [rank] overrides the region ranking's free tiebreak
+    (see {!Protocol.config}); all nodes share it.
+    @raise Invalid_argument if a crash names a node outside the graph,
+    or names a node twice. *)
 
 (** {1 Pluggable machines}
 

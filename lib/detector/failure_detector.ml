@@ -5,7 +5,9 @@ module Latency = Cliffedge_net.Latency
 
 (* Detector state is kept only for the nodes a run activates, keyed
    by id in hash tables, so its cost follows the crashed region's
-   vicinity rather than the largest id in the graph.
+   vicinity rather than the largest id in the graph.  Crash membership
+   is not the detector's own: it reads the run's crash record, which
+   the caller writes before [inject_crash].
 
    There is deliberately no observer-indexed-by-target inverse table:
    registration runs once per (node, neighbour) pair — the bulk of a
@@ -26,12 +28,12 @@ type t = {
   consumed : Node_set.t Node_id.Tbl.t;
   (* ids holding a subscription row: the [inject_crash] walk *)
   mutable observers : Node_set.t;
-  mutable crashed : Node_set.t;
+  crashed : int Node_id.Tbl.t;
   channel_floor : (observer:Node_id.t -> crashed:Node_id.t -> float) option;
   mutable notify : (observer:Node_id.t -> crashed:Node_id.t -> unit) option;
 }
 
-let create ~engine ~rng ~latency ?channel_floor () =
+let create ~engine ~rng ~latency ~crashed ?channel_floor () =
   {
     engine;
     rng;
@@ -39,7 +41,7 @@ let create ~engine ~rng ~latency ?channel_floor () =
     subscriptions = Node_id.Tbl.create 16;
     consumed = Node_id.Tbl.create 1;
     observers = Node_set.empty;
-    crashed = Node_set.empty;
+    crashed;
     channel_floor;
     notify = None;
   }
@@ -55,9 +57,7 @@ let consumed t observer =
 
 let on_crash_notification t handler = t.notify <- Some handler
 
-let is_crashed t p = Node_set.mem p t.crashed
-
-let crashed_nodes t = t.crashed
+let is_crashed t p = Node_id.Tbl.mem t.crashed p
 
 (* Rare by construction: latency sampling, an engine closure and float
    arithmetic, paid once per (observer, crash) pair. *)
@@ -80,16 +80,6 @@ let[@lint.cold] schedule_notification t ~observer ~target =
            | Some handler -> handler ~observer ~crashed:target
            | None -> failwith "Failure_detector: no notification handler installed"))
 
-(* Element-wise walk of the freshly registered targets that were already
-   crashed — reached only through the [disjoint] guard below, i.e. when
-   a registration races a crash, so the iteration closure and the
-   notification float math stay off the re-registration fast path. *)
-let[@lint.cold] notify_crashed_fresh t ~observer fresh =
-  Node_set.iter
-    (fun target ->
-      if is_crashed t target then schedule_notification t ~observer ~target)
-    fresh
-
 (* Measured exemption: steady-state re-registration (every target
    already subscribed) is the per-round case and allocates nothing —
    [diff] returns the static empty set, [remove] and [is_empty] return
@@ -98,15 +88,17 @@ let[@lint.cold] notify_crashed_fresh t ~observer fresh =
 let[@lint.hot_path] [@lint.allow "hot-path-alloc"] monitor t ~observer ~targets =
   let subscribed = subscribed t observer in
   (* Word-parallel dedup: one [diff] finds the genuinely new targets
-     (minus self), one [union] registers them, and only the already
-     crashed ones are walked element-wise — in ascending order, so the
-     notification schedule matches the per-element version exactly. *)
+     (minus self), one [union] registers them, and only those are
+     walked element-wise for crashed ones — in ascending order, so the
+     notification schedule matches the per-element version exactly.
+     The walk's closure is built only when something is fresh. *)
   let fresh = Node_set.remove observer (Node_set.diff targets subscribed) in
   if not (Node_set.is_empty fresh) then begin
     Node_id.Tbl.replace t.subscriptions observer (Node_set.union subscribed fresh);
     t.observers <- Node_set.add observer t.observers;
-    if not (Node_set.disjoint fresh t.crashed) then
-      notify_crashed_fresh t ~observer fresh
+    Node_set.iter
+      (fun target -> if is_crashed t target then schedule_notification t ~observer ~target)
+      fresh
   end
 
 (* Whether [observer] subscribed to [target] and no false suspicion
@@ -127,14 +119,11 @@ let inject_false_suspicion t ~observer ~target =
     schedule_notification t ~observer ~target
   end
 
+(* Every currently subscribed pair registered while [target] was
+   alive (it crashes only once), so the subscription rows minus the
+   suspicion-consumed pairs are exactly the old inverse table. *)
 let inject_crash t target =
-  if not (is_crashed t target) then begin
-    t.crashed <- Node_set.add target t.crashed;
-    (* Every currently subscribed pair registered while [target] was
-       alive (it crashes only once), so the subscription rows minus the
-       suspicion-consumed pairs are exactly the old inverse table. *)
-    Node_set.iter
-      (fun observer ->
-        if pending t ~observer ~target then schedule_notification t ~observer ~target)
-      t.observers
-  end
+  Node_set.iter
+    (fun observer ->
+      if pending t ~observer ~target then schedule_notification t ~observer ~target)
+    t.observers

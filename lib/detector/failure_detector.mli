@@ -41,9 +41,13 @@ val create :
   engine:Cliffedge_sim.Engine.t ->
   rng:Cliffedge_prng.Prng.t ->
   latency:Cliffedge_net.Latency.t ->
+  crashed:int Node_id.Tbl.t ->
   ?channel_floor:(observer:Node_id.t -> crashed:Node_id.t -> float) ->
   unit ->
   t
+(** [crashed] is the run's crash record (node → seq of its [Crash]
+    event), shared with the network; the detector reads its keys and
+    never writes it. *)
 
 val on_crash_notification :
   t -> (observer:Node_id.t -> crashed:Node_id.t -> unit) -> unit
@@ -58,8 +62,10 @@ val monitor : t -> observer:Node_id.t -> targets:Node_set.t -> unit
     ignored. *)
 
 val inject_crash : t -> Node_id.t -> unit
-(** Fault injection: the node crashes at the current virtual time.
-    All current subscribers are scheduled for notification. *)
+(** Fault injection: the node crashed at the current virtual time and
+    the caller has just added it to the crash record.  All current
+    subscribers are scheduled for notification; a later subscription
+    to it is notified at registration ({!monitor}). *)
 
 val inject_false_suspicion : t -> observer:Node_id.t -> target:Node_id.t -> unit
 (** Deliberately violates strong accuracy: delivers a [crash target]
@@ -69,7 +75,3 @@ val inject_false_suspicion : t -> observer:Node_id.t -> target:Node_id.t -> unit
     assumption-necessity ablation (experiment X13): the paper's
     correctness argument requires a {e perfect} detector, and this is
     how the reproduction shows what breaks without one. *)
-
-val is_crashed : t -> Node_id.t -> bool
-
-val crashed_nodes : t -> Node_set.t

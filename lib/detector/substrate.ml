@@ -38,9 +38,9 @@ type 'a t = {
   conduit : 'a conduit;
   detector : Failure_detector.t;
   obs : Obs.Log.t;
-  (* Seq of each node's [Crash] event, so [Suspect] notifications can
-     parent to the fault injection they detect. *)
-  crash_seq : (int, int) Hashtbl.t;
+  (* The run's one crash record: each crashed node's [Crash] event seq,
+     so [Suspect] notifications can parent to the injection they detect. *)
+  crashed : int Node_id.Tbl.t;
   (* Cells of the open [batched] scope in reverse first-touch order;
      [None] outside any scope (sends dispatch immediately). *)
   mutable batch : 'a batch_cell list option;
@@ -60,21 +60,24 @@ let create ?(channel = Transport.Reliable) ?geometry ~seed ~message_latency
   let rng = Prng.create seed in
   let net_rng = Prng.split rng in
   let fd_rng = Prng.split rng in
+  let crashed = Node_id.Tbl.create 16 in
   let conduit, flush =
     match channel with
     | Transport.Reliable ->
-        let network = Network.create ~engine ~rng:net_rng ~latency:message_latency () in
+        let network =
+          Network.create ~crashed ~engine ~rng:net_rng ~latency:message_latency ()
+        in
         ( Direct network,
           fun ~src ~dst -> Network.flush_time network ~src ~dst )
     | Transport.Raw_faulty faults ->
         let network =
-          Network.create ~faults ~engine ~rng:net_rng ~latency:message_latency ()
+          Network.create ~faults ~crashed ~engine ~rng:net_rng ~latency:message_latency ()
         in
         ( Direct network,
           fun ~src ~dst -> Network.flush_time network ~src ~dst )
     | Transport.Arq_over_faulty (faults, policy) ->
         let network =
-          Network.create ~faults ~engine ~rng:net_rng ~latency:message_latency ()
+          Network.create ~faults ~crashed ~engine ~rng:net_rng ~latency:message_latency ()
         in
         let transport = Transport.create ~policy ~obs ~engine ~network () in
         ( Arq transport,
@@ -88,11 +91,10 @@ let create ?(channel = Transport.Reliable) ?geometry ~seed ~message_latency
         Some (fun ~observer ~crashed -> flush ~src:crashed ~dst:observer)
       else None
     in
-    Failure_detector.create ~engine ~rng:fd_rng ~latency:detection_latency
+    Failure_detector.create ~engine ~rng:fd_rng ~latency:detection_latency ~crashed
       ?channel_floor ()
   in
-  { engine; conduit; detector; obs; crash_seq = Hashtbl.create 16; batch = None;
-    geometry; crash_hook = ignore }
+  { engine; conduit; detector; obs; crashed; batch = None; geometry; crash_hook = ignore }
 
 let dispatch_envelope t ~units ~src ~dst env =
   match t.conduit with
@@ -108,12 +110,13 @@ let rec find_cell cells src dst =
       if Node_id.equal c.b_src src && Node_id.equal c.b_dst dst then Some c
       else find_cell tl src dst
 
+let is_crashed t p = Node_id.Tbl.mem t.crashed p
+
 let send t ?(units = 1) ~src ~dst msg =
   (* The conduit drops sends from crashed sources anyway (before any
-     accounting), so guarding here only keeps phantom [Send] events out
-     of the log; the detector and the conduit crash in the same
-     injection thunk, making the two crash states interchangeable. *)
-  if not (Failure_detector.is_crashed t.detector src) then begin
+     accounting), reading the same crash record, so guarding here only
+     keeps phantom [Send] events out of the log. *)
+  if not (is_crashed t src) then begin
     let cause =
       Obs.Log.record t.obs ~time:(Engine.now t.engine) ~node:src
         ?parent:(Obs.Log.context t.obs)
@@ -172,7 +175,7 @@ let on_deliver t handler =
 
 let on_crash_notification t handler =
   Failure_detector.on_crash_notification t.detector (fun ~observer ~crashed ->
-      let parent = Hashtbl.find_opt t.crash_seq (Node_id.to_int crashed) in
+      let parent = Node_id.Tbl.find_opt t.crashed crashed in
       let seq =
         Obs.Log.record t.obs ~time:(Engine.now t.engine) ~node:observer ?parent
           (Obs.Event.Suspect { target = crashed })
@@ -186,12 +189,21 @@ let stats t =
   | Direct network -> Network.stats network
   | Arq transport -> Transport.stats transport
 
-let crash_node t p =
-  match t.conduit with
-  | Direct network -> Network.crash network p
-  | Arq transport -> Transport.crash transport p
+let crashed_nodes t =
+  Node_set.of_list (Node_id.Tbl.fold (fun p _ acc -> p :: acc) t.crashed [])
 
 let schedule_crashes t crashes =
+  (* A node crashes once: a second entry would log a second [Crash] of a
+     dead node and parent later suspicions on it. *)
+  let seen = Node_id.Tbl.create 16 in
+  List.iter
+    (fun (_, p) ->
+      if Node_id.Tbl.mem seen p then
+        invalid_arg
+          (Format.asprintf "Substrate.schedule_crashes: node %a is scheduled to crash twice"
+             Node_id.pp p);
+      Node_id.Tbl.add seen p ())
+    crashes;
   List.iter
     (fun (time, p) ->
       ignore
@@ -201,8 +213,10 @@ let schedule_crashes t crashes =
                Obs.Log.record t.obs ~time:(Engine.now t.engine) ~node:p
                  Obs.Event.Crash
              in
-             Hashtbl.replace t.crash_seq (Node_id.to_int p) seq;
-             crash_node t p;
+             Node_id.Tbl.add t.crashed p seq;
+             (match t.conduit with
+             | Direct _ -> ()
+             | Arq transport -> Transport.crash transport p);
              Failure_detector.inject_crash t.detector p;
              Option.iter (fun g -> Incr_geometry.crash g p) t.geometry)))
     crashes

@@ -43,7 +43,10 @@ type 'a t = {
   conduit : 'a conduit;
   detector : Failure_detector.t;
   obs : Cliffedge_obs.Log.t;
-  crash_seq : (int, int) Hashtbl.t;
+  crashed : int Node_id.Tbl.t;
+      (** the run's one crash record, each crashed node's [Crash] event
+          seq: written by {!schedule_crashes} only, read by the network,
+          the ARQ, the detector, the runners and [Suspect] parenting *)
   mutable batch : 'a batch_cell list option;
   geometry : Cliffedge_graph.Incr_geometry.t option;
   mutable crash_hook : Node_id.t -> unit;
@@ -66,7 +69,7 @@ val create :
     accounts for pending retransmissions ({!Cliffedge_net.Transport.flush_time}).
     When [geometry] is supplied, each scheduled crash also feeds the
     incremental fault-geometry tracker, inside the same injection thunk
-    that crashes the conduit and the detector. *)
+    that writes the crash record. *)
 
 val send : 'a t -> ?units:int -> src:Node_id.t -> dst:Node_id.t -> 'a -> unit
 (** Records a [Send] event and hands the wrapped payload to the
@@ -101,18 +104,25 @@ val on_crash_notification :
 val before_crash : 'a t -> (Node_id.t -> unit) -> unit
 (** Installs a handler that runs first in each crash-injection thunk of
     {!schedule_crashes}, before the [Crash] event is recorded and before
-    the conduit, the detector and the geometry learn of the crash: the
+    the crash record, the detector and the geometry learn of the crash: the
     last instant at which the node and its neighbours can still act on
     a world where it is alive.  The runner activates them here.  Default:
     nothing. *)
 
 val stats : 'a t -> Cliffedge_net.Stats.t
 
+val is_crashed : 'a t -> Node_id.t -> bool
+(** Whether the node is in the crash record. *)
+
+val crashed_nodes : 'a t -> Node_set.t
+(** The crash record's nodes, built afresh: an end-of-run read. *)
+
 val schedule_crashes : 'a t -> (float * Node_id.t) list -> unit
 (** Schedules each fault injection: at its time the {!before_crash}
-    handler runs, a [Crash] event is recorded, and the node is crashed
-    in the conduit (future deliveries dropped, ARQ retransmission timers
-    killed) and in the detector (subscribers notified). *)
+    handler runs, a [Crash] event is recorded, the node enters the crash
+    record (its sends ignored, deliveries to it dropped), its ARQ timers
+    are killed, and the detector notifies its subscribers.
+    @raise Invalid_argument naming a node the schedule names twice. *)
 
 val run : max_events:int -> 'a t -> unit
 (** Runs the engine to quiescence or the event cap. *)

@@ -12,25 +12,6 @@ let equal = Int.equal
 
 let hash t = t
 
-(* Packed ordered-pair keys.  31 bits per component keeps the packed
-   key an immediate int on 64-bit OCaml (2*31 = 62 < 63), so hashtable
-   lookups keyed by a pair hash a machine word instead of allocating a
-   tuple — while staying collision-free for every identifier below
-   2^31, far past the million-node scale target.  (The previous 20-bit
-   shift silently collided from id 2^20 = 1,048,576 on.) *)
-let pair_bits = 31
-
-let pair_component_limit = 1 lsl pair_bits
-
-let pair_key a b =
-  if a lsr pair_bits <> 0 || b lsr pair_bits <> 0 then
-    invalid_arg "Node_id.pair_key: identifier does not fit in 31 bits";
-  (a lsl pair_bits) lor b
-
-let pair_fst k = k lsr pair_bits
-
-let pair_snd k = k land (pair_component_limit - 1)
-
 (* Identifiers are non-negative, so the identity is already a valid
    hash, and consecutive ids land in consecutive buckets. *)
 module Tbl = Hashtbl.Make (struct
@@ -40,6 +21,14 @@ module Tbl = Hashtbl.Make (struct
 
   let hash = hash
 end)
+
+let row rows p =
+  match Tbl.find rows p with
+  | row -> row
+  | exception Not_found ->
+      let row = Tbl.create 4 in
+      Tbl.add rows p row;
+      row
 
 let pp ppf t = Format.fprintf ppf "n%d" t
 

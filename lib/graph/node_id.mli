@@ -22,25 +22,15 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
-val pair_key : t -> t -> int
-(** [pair_key a b] packs the ordered pair into one immediate integer
-    ([a] in the high 31 bits, [b] in the low 31), collision-free for
-    all identifiers below [2^31].  Used to key per-channel hashtables
-    without allocating a tuple per lookup.
-    @raise Invalid_argument when either identifier needs more than 31
-    bits. *)
-
-val pair_fst : int -> t
-(** First component of a {!pair_key}. *)
-
-val pair_snd : int -> t
-(** Second component of a {!pair_key}. *)
-
 module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by identifier, holding only the ids a run
-    touches, whatever their magnitude: the runner's steppers, the
-    failure detector's subscription rows and the implicit graph's
-    neighbour memo. *)
+    touches, whatever their magnitude: the runner's nodes, the crash
+    record, the detector's subscription rows, the implicit graph's
+    neighbour memo, and the channel rows of the network, the ARQ and
+    the message counts (source -> destination -> the pair's record). *)
+
+val row : 'a Tbl.t Tbl.t -> t -> 'a Tbl.t
+(** [p]'s row of a two-level table, added empty on first use. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [n<i>], e.g. [n42]. *)

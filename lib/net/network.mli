@@ -32,15 +32,19 @@ exception No_handler of string
 
 val create :
   ?faults:Faults.t ->
+  crashed:int Node_id.Tbl.t ->
   engine:Cliffedge_sim.Engine.t ->
   rng:Cliffedge_prng.Prng.t ->
   latency:Latency.t ->
   unit ->
   'a t
-(** [faults] (default: none) subjects every message to the given fault
-    plan.  A pass-through plan ({!Faults.is_pass_through}) is treated as
-    absent, taking a code path bit-identical to the reliable network —
-    same PRNG stream, same schedule. *)
+(** [crashed] is the run's crash record, mapping each crashed node to
+    the seq of its [Crash] event; whoever injects crashes writes it
+    ({!Cliffedge_detector.Substrate}), and the network reads only its
+    keys.  [faults] (default: none) subjects every message to the given
+    fault plan.  A pass-through plan ({!Faults.is_pass_through}) is
+    treated as absent, taking a code path bit-identical to the reliable
+    network — same PRNG stream, same schedule. *)
 
 val on_deliver : 'a t -> (src:Node_id.t -> dst:Node_id.t -> 'a -> unit) -> unit
 (** Installs the delivery handler (typically the runner's dispatch into
@@ -49,12 +53,9 @@ val on_deliver : 'a t -> (src:Node_id.t -> dst:Node_id.t -> 'a -> unit) -> unit
 
 val send : 'a t -> ?units:int -> src:Node_id.t -> dst:Node_id.t -> 'a -> unit
 (** Enqueues a message.  [units] is an abstract payload size for
-    accounting (default 1).  Sends from crashed nodes are ignored
-    (crashed nodes cannot act); sends to crashed nodes are dropped at
-    delivery time. *)
-
-val crash : 'a t -> Node_id.t -> unit
-(** Marks a node as crashed from the current virtual time on. *)
+    accounting (default 1).  Sends from nodes in the crash record are
+    ignored (crashed nodes cannot act); sends to a node that is in it by
+    delivery time are dropped then. *)
 
 val flush_time : 'a t -> src:Node_id.t -> dst:Node_id.t -> float
 (** Virtual time by which every message currently scheduled on the
@@ -66,5 +67,6 @@ val flush_time : 'a t -> src:Node_id.t -> dst:Node_id.t -> float
     see {!Cliffedge_detector.Failure_detector}. *)
 
 val is_crashed : 'a t -> Node_id.t -> bool
+(** Whether the node is in the crash record. *)
 
 val stats : 'a t -> Stats.t

@@ -10,13 +10,11 @@ type t = {
   mutable duplicated : int;
   mutable retransmitted : int;
   mutable deduped : int;
-  (* Keyed by [Node_id.pair_key]: an immediate int hashes without
-     allocating the tuple the generic hash would otherwise walk on
-     every send, and stays collision-free below 2^31 ids. *)
-  per_pair : (int, int) Hashtbl.t;
+  (* Messages per ordered pair: the source's row maps each destination
+     to its count, so a send hashes two ids and allocates nothing once
+     the pair has a cell, whatever the ids' magnitude. *)
+  per_pair : int ref Node_id.Tbl.t Node_id.Tbl.t;
 }
-
-let pack ~src ~dst = Node_id.pair_key src dst
 
 let create () =
   {
@@ -28,16 +26,17 @@ let create () =
     duplicated = 0;
     retransmitted = 0;
     deduped = 0;
-    per_pair = Hashtbl.create 64;
+    per_pair = Node_id.Tbl.create 16;
   }
 
 let record_send t ~src ~dst ~units =
   if units < 0 then invalid_arg "Stats.record_send: negative units";
   t.sent <- t.sent + 1;
   t.units_sent <- t.units_sent + units;
-  let key = pack ~src ~dst in
-  let current = Option.value ~default:0 (Hashtbl.find_opt t.per_pair key) in
-  Hashtbl.replace t.per_pair key (current + 1)
+  let row = Node_id.row t.per_pair src in
+  match Node_id.Tbl.find row dst with
+  | count -> incr count
+  | exception Not_found -> Node_id.Tbl.add row dst (ref 1)
 
 let record_delivery t = t.delivered <- t.delivered + 1
 
@@ -67,24 +66,25 @@ let deduped t = t.deduped
 
 let units_sent t = t.units_sent
 
+let fold_pairs f t init =
+  Node_id.Tbl.fold
+    (fun src row acc -> Node_id.Tbl.fold (fun dst _ acc -> f src dst acc) row acc)
+    t.per_pair init
+
 let pairs t =
-  Hashtbl.fold
-    (fun key _ acc -> (Node_id.pair_fst key, Node_id.pair_snd key) :: acc)
-    t.per_pair []
+  fold_pairs (fun src dst acc -> (src, dst) :: acc) t []
   |> List.sort
        (fun (s1, d1) (s2, d2) ->
          let c = Node_id.compare s1 s2 in
          if c <> 0 then c else Node_id.compare d1 d2)
 
 let pair_count t ~src ~dst =
-  Option.value ~default:0 (Hashtbl.find_opt t.per_pair (pack ~src ~dst))
+  match Node_id.Tbl.find (Node_id.Tbl.find t.per_pair src) dst with
+  | count -> !count
+  | exception Not_found -> 0
 
 let communicating_nodes t =
-  Hashtbl.fold
-    (fun key _ acc ->
-      Node_set.add (Node_id.pair_fst key)
-        (Node_set.add (Node_id.pair_snd key) acc))
-    t.per_pair Node_set.empty
+  fold_pairs (fun src dst acc -> Node_set.add src (Node_set.add dst acc)) t Node_set.empty
 
 let pp ppf t =
   Format.fprintf ppf

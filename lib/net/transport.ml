@@ -18,21 +18,19 @@ type channel =
 
 type 'a frame = Data of { seq : int; payload : 'a } | Ack of { cum : int }
 
-(* Go-back-N sender side of one ordered channel.  [unacked] holds
-   (seq, units, payload) oldest first; [retries] counts consecutive
-   timer expiries with no cumulative-ack progress. *)
-type 'a sender = {
+(* Go-back-N state of the ordered channel [src -> dst], created at its
+   first frame.  Sender side, at [src]: [unacked] holds (seq, units,
+   payload) oldest first; [retries] counts consecutive timer expiries
+   with no cumulative-ack progress.  Receiver side, at [dst]:
+   [expected] is the next in-order sequence number; frames beyond it
+   wait in [buffer] until the gap fills. *)
+type 'a link = {
   mutable next_seq : int;
   mutable unacked : (int * int * 'a) list;
   mutable timer : Engine.handle option;
   mutable retries : int;
   mutable cur_rto : float;
   mutable stalled : bool;
-}
-
-(* Receiver side: [expected] is the next in-order sequence number;
-   frames beyond it wait in [buffer] until the gap fills. *)
-type 'a receiver = {
   mutable expected : int;
   buffer : (int, 'a) Hashtbl.t;
 }
@@ -41,8 +39,9 @@ type 'a t = {
   engine : Engine.t;
   net : 'a frame Network.t;
   policy : policy;
-  senders : (int * int, 'a sender) Hashtbl.t;
-  receivers : (int * int, 'a receiver) Hashtbl.t;
+  (* Source row -> destination -> link, so a crash reaches the crashed
+     node's own links through its row. *)
+  links : 'a link Node_id.Tbl.t Node_id.Tbl.t;
   mutable deliver : (src:Node_id.t -> dst:Node_id.t -> 'a -> unit) option;
   obs : Obs.Log.t;
 }
@@ -50,11 +49,12 @@ type 'a t = {
 let observe t ~node kind =
   ignore (Obs.Log.record t.obs ~time:(Engine.now t.engine) ~node kind)
 
-let sender t key =
-  match Hashtbl.find_opt t.senders key with
-  | Some s -> s
-  | None ->
-      let s =
+let link t ~src ~dst =
+  let row = Node_id.row t.links src in
+  match Node_id.Tbl.find row dst with
+  | c -> c
+  | exception Not_found ->
+      let c =
         {
           next_seq = 0;
           unacked = [];
@@ -62,18 +62,12 @@ let sender t key =
           retries = 0;
           cur_rto = t.policy.rto;
           stalled = false;
+          expected = 0;
+          buffer = Hashtbl.create 8;
         }
       in
-      Hashtbl.replace t.senders key s;
-      s
-
-let receiver t key =
-  match Hashtbl.find_opt t.receivers key with
-  | Some r -> r
-  | None ->
-      let r = { expected = 0; buffer = Hashtbl.create 8 } in
-      Hashtbl.replace t.receivers key r;
-      r
+      Node_id.Tbl.add row dst c;
+      c
 
 let cancel_timer t s =
   match s.timer with
@@ -133,8 +127,7 @@ let deliver_up t ~src ~dst payload =
    receipt is answered with the current cumulative ack so the sender
    learns of progress even when the frame itself was stale. *)
 let on_data t ~src ~dst ~seq payload =
-  let key = (Node_id.to_int src, Node_id.to_int dst) in
-  let r = receiver t key in
+  let r = link t ~src ~dst in
   if seq < r.expected || Hashtbl.mem r.buffer seq then
     Stats.record_dedup (Network.stats t.net)
   else begin
@@ -156,10 +149,9 @@ let on_data t ~src ~dst ~seq payload =
    [dst -> src].  Progress resets the backoff; an empty window parks the
    timer. *)
 let on_ack t ~src ~dst ~cum =
-  let key = (Node_id.to_int dst, Node_id.to_int src) in
-  match Hashtbl.find_opt t.senders key with
-  | None -> ()
-  | Some s ->
+  match Node_id.Tbl.find (Node_id.Tbl.find t.links dst) src with
+  | exception Not_found -> ()
+  | s ->
       let before = List.length s.unacked in
       s.unacked <- List.filter (fun (seq, _, _) -> seq > cum) s.unacked;
       if List.length s.unacked < before then begin
@@ -177,8 +169,7 @@ let create ?(policy = default_policy) ~obs ~engine ~network () =
       engine;
       net = network;
       policy;
-      senders = Hashtbl.create 64;
-      receivers = Hashtbl.create 64;
+      links = Node_id.Tbl.create 16;
       deliver = None;
       obs;
     }
@@ -193,8 +184,7 @@ let on_deliver t handler = t.deliver <- Some handler
 
 let send t ?(units = 1) ~src ~dst payload =
   if not (Network.is_crashed t.net src) then begin
-    let key = (Node_id.to_int src, Node_id.to_int dst) in
-    let s = sender t key in
+    let s = link t ~src ~dst in
     if not s.stalled then begin
       let seq = s.next_seq in
       s.next_seq <- seq + 1;
@@ -207,20 +197,19 @@ let send t ?(units = 1) ~src ~dst payload =
   end
 
 let crash t p =
-  Network.crash t.net p;
-  let pi = Node_id.to_int p in
-  Hashtbl.iter
-    (fun (src, _) s ->
-      if Int.equal src pi then begin
-        cancel_timer t s;
-        s.unacked <- []
-      end)
-    t.senders
+  match Node_id.Tbl.find t.links p with
+  | exception Not_found -> ()
+  | row ->
+      Node_id.Tbl.iter
+        (fun _ s ->
+          cancel_timer t s;
+          s.unacked <- [])
+        row
 
 let flush_time t ~src ~dst =
   let base = Network.flush_time t.net ~src ~dst in
-  match Hashtbl.find_opt t.senders (Node_id.to_int src, Node_id.to_int dst) with
-  | Some s
+  match Node_id.Tbl.find (Node_id.Tbl.find t.links src) dst with
+  | s
     when (not s.stalled)
          && (match s.unacked with [] -> false | _ :: _ -> true)
          && not (Network.is_crashed t.net src) ->
@@ -229,6 +218,6 @@ let flush_time t ~src ~dst =
          failure detector never hits this branch — it only queries
          channels whose sender already crashed (see Substrate). *)
       infinity
-  | Some _ | None -> base
+  | _ | (exception Not_found) -> base
 
 let stats t = Network.stats t.net

@@ -78,9 +78,10 @@ val on_deliver : 'a t -> (src:Node_id.t -> dst:Node_id.t -> 'a -> unit) -> unit
 val send : 'a t -> ?units:int -> src:Node_id.t -> dst:Node_id.t -> 'a -> unit
 
 val crash : 'a t -> Node_id.t -> unit
-(** Crashes the node in the underlying network and kills its
-    retransmission timers: a crashed sender retransmits nothing, so its
-    channels quiesce with whatever frames are already in flight. *)
+(** Kills the retransmission timers of a node that has just entered the
+    network's crash record ({!Network.create}), walking only that node's
+    own channels: a crashed sender retransmits nothing, so its channels
+    quiesce with whatever frames are already in flight. *)
 
 val flush_time : 'a t -> src:Node_id.t -> dst:Node_id.t -> float
 (** Floor for the channel-consistent failure detector.  While [src] is

@@ -26,10 +26,15 @@ let connected_region_from rng graph ~seed_node ~size =
   validate graph size;
   grow rng graph ~seed_node ~size
 
+(* An implicit graph's nodes are [0, n), whose k-th element is k: the
+   same draw as [random_element] over them, without building them. *)
+let random_node rng graph =
+  if Graph.is_implicit graph then Node_id.of_int (Prng.int rng (Graph.node_count graph))
+  else Node_set.random_element rng (Graph.nodes graph)
+
 let connected_region rng graph ~size =
   validate graph size;
-  let seed_node = Node_set.random_element rng (Graph.nodes graph) in
-  grow rng graph ~seed_node ~size
+  grow rng graph ~seed_node:(random_node rng graph) ~size
 
 (* Deterministic sibling of [grow]: always absorbs the minimum-id border
    node.  No PRNG, no [Graph.node_count] (which an implicit graph can

@@ -13,6 +13,10 @@ val check_size : Graph.t -> size:int -> (unit, string) result
     random region builders below raise on.  The error names the bound,
     so a front end can reject a size before building anything. *)
 
+val random_node : Cliffedge_prng.Prng.t -> Graph.t -> Node_id.t
+(** {!Node_set.random_element} over {!Graph.nodes}, PRNG stream
+    included, without building an implicit graph's node set. *)
+
 val connected_region :
   Cliffedge_prng.Prng.t -> Graph.t -> size:int -> Node_set.t
 (** A uniform-ish random connected region of [size] nodes, grown from

@@ -78,9 +78,12 @@ let test_notification_respects_flush_floor () =
   let module Fd = Cliffedge_detector.Failure_detector in
   let engine = Engine.create () in
   let rng = Prng.create 3 in
-  let network = Network.create ~engine ~rng ~latency:(Latency.Constant 100.0) () in
+  let crashed = Node_id.Tbl.create 1 in
+  let network =
+    Network.create ~crashed ~engine ~rng ~latency:(Latency.Constant 100.0) ()
+  in
   let fd =
-    Fd.create ~engine ~rng ~latency:(Latency.Constant 0.1)
+    Fd.create ~engine ~rng ~latency:(Latency.Constant 0.1) ~crashed
       ~channel_floor:(fun ~observer ~crashed ->
         Network.flush_time network ~src:crashed ~dst:observer)
       ()
@@ -95,7 +98,7 @@ let test_notification_respects_flush_floor () =
   Network.send network ~src:a ~dst:b "in-flight";
   ignore
     (Engine.schedule engine ~delay:1.0 (fun () ->
-         Network.crash network a;
+         Node_id.Tbl.replace crashed a 0;
          Fd.inject_crash fd a));
   Engine.run engine;
   match List.rev !events with
@@ -110,8 +113,11 @@ let test_raw_notification_can_overtake () =
   let module Fd = Cliffedge_detector.Failure_detector in
   let engine = Engine.create () in
   let rng = Prng.create 3 in
-  let network = Network.create ~engine ~rng ~latency:(Latency.Constant 100.0) () in
-  let fd = Fd.create ~engine ~rng ~latency:(Latency.Constant 0.1) () in
+  let crashed = Node_id.Tbl.create 1 in
+  let network =
+    Network.create ~crashed ~engine ~rng ~latency:(Latency.Constant 100.0) ()
+  in
+  let fd = Fd.create ~engine ~rng ~latency:(Latency.Constant 0.1) ~crashed () in
   let order = ref [] in
   Network.on_deliver network (fun ~src:_ ~dst:_ _ -> order := `Msg :: !order);
   Fd.on_crash_notification fd (fun ~observer:_ ~crashed:_ -> order := `Crash :: !order);
@@ -120,7 +126,7 @@ let test_raw_notification_can_overtake () =
   Network.send network ~src:a ~dst:b "in-flight";
   ignore
     (Engine.schedule engine ~delay:1.0 (fun () ->
-         Network.crash network a;
+         Node_id.Tbl.replace crashed a 0;
          Fd.inject_crash fd a));
   Engine.run engine;
   Alcotest.(check bool) "notification first" true (List.rev !order = [ `Crash; `Msg ])

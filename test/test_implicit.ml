@@ -1,13 +1,20 @@
 (* Differential validation of the implicit-topology kernels and the
-   incremental fault-geometry tracker, plus the pair-key packing
-   regression: every generator-backed graph must agree query-for-query
-   with its materialized counterpart, and [Incr_geometry] must agree
-   with [Fault_geometry.compute] after every crash of a random
-   sequence. *)
+   incremental fault-geometry tracker, plus runs at large node ids:
+   every generator-backed graph must agree query-for-query with its
+   materialized counterpart, [Incr_geometry] must agree with
+   [Fault_geometry.compute] after every crash of a random sequence, and
+   neither a run nor its accounting may depend on how large the ids
+   are. *)
 
 open Cliffedge_graph
 module Prng = Cliffedge_prng.Prng
 module Stats = Cliffedge_net.Stats
+module Faults = Cliffedge_net.Faults
+module Transport = Cliffedge_net.Transport
+module Runner = Cliffedge.Runner
+module Checker = Cliffedge.Checker
+module Scenario = Cliffedge.Scenario
+module Fault_gen = Cliffedge_workload.Fault_gen
 
 let set = Node_set.of_ints
 
@@ -192,38 +199,65 @@ let test_memo_cap () =
   Alcotest.(check bool) "repeat query correct" true
     (Node_set.equal (set [ 89_999; 90_001 ]) (Graph.border g s))
 
-(* --- pair-key packing regression ------------------------------------ *)
+(* --- large node ids ---------------------------------------------------- *)
 
-(* The old scheme packed [(src lsl 20) lor dst]: ids at or above 2^20
-   overflow into the src bits, so the pairs (1, 1) and (0, 2^20 + 1)
-   collided on the key 2^20 + 1 and per-pair statistics merged two
-   distinct channels.  The 31-bit split keeps them apart; this test
-   fails against the old packing. *)
-let test_pair_key_no_collision () =
-  let one = Node_id.of_int 1 in
-  let big = Node_id.of_int ((1 lsl 20) + 1) in
-  let zero = Node_id.of_int 0 in
+(* Per-pair counts are kept per source row, with no packing of the two
+   ids.  The old 20-bit packing [(src lsl 20) lor dst] merged (1, 1)
+   with (0, 2^20 + 1); the 31-bit one that followed raised from id 2^31
+   on.  Pairs at 2^31, 2^40 and [max_int - 1] stay distinct, each
+   counted once. *)
+let test_stats_pairs_any_id () =
+  let id = Node_id.of_int in
+  let pairs =
+    [
+      (1, 1); (0, (1 lsl 20) + 1); (1 lsl 31, 0); (0, 1 lsl 31); (1 lsl 40, 1 lsl 31);
+      (max_int - 1, 1 lsl 40); (1 lsl 40, max_int - 1);
+    ]
+  in
   let s = Stats.create () in
-  Stats.record_send s ~src:one ~dst:one ~units:1;
-  Stats.record_send s ~src:zero ~dst:big ~units:1;
-  Alcotest.(check int) "two distinct pairs" 2 (List.length (Stats.pairs s));
-  Alcotest.(check int) "count of (1,1)" 1 (Stats.pair_count s ~src:one ~dst:one);
-  Alcotest.(check int) "count of (0,2^20+1)" 1 (Stats.pair_count s ~src:zero ~dst:big);
-  Alcotest.(check int) "nodes involved" 3
-    (Node_set.cardinal (Stats.communicating_nodes s))
-
-let test_pair_key_roundtrip () =
+  List.iter (fun (a, b) -> Stats.record_send s ~src:(id a) ~dst:(id b) ~units:1) pairs;
+  Alcotest.(check (list (pair int int)))
+    "distinct pairs, in (src, dst) order" (List.sort compare pairs)
+    (List.map (fun (a, b) -> (Node_id.to_int a, Node_id.to_int b)) (Stats.pairs s));
   List.iter
     (fun (a, b) ->
-      let k = Node_id.pair_key (Node_id.of_int a) (Node_id.of_int b) in
-      Alcotest.(check int) "fst" a (Node_id.to_int (Node_id.pair_fst k));
-      Alcotest.(check int) "snd" b (Node_id.to_int (Node_id.pair_snd k)))
-    [ (0, 0); (1, 1); (0, (1 lsl 20) + 1); ((1 lsl 20) + 1, 0);
-      ((1 lsl 31) - 1, (1 lsl 31) - 1); (999_983, 1_000_003) ];
-  Alcotest.check_raises "31-bit limit enforced"
-    (Invalid_argument "Node_id.pair_key: identifier does not fit in 31 bits")
-    (fun () ->
-      ignore (Node_id.pair_key (Node_id.of_int (1 lsl 31)) (Node_id.of_int 0)))
+      Alcotest.(check int)
+        (Printf.sprintf "count of (%d, %d)" a b)
+        1
+        (Stats.pair_count s ~src:(id a) ~dst:(id b)))
+    pairs;
+  Alcotest.(check int) "reverse pair never sent" 0
+    (Stats.pair_count s ~src:(id 1) ~dst:(id (max_int - 1)));
+  Alcotest.(check int) "nodes involved" 6
+    (Node_set.cardinal (Stats.communicating_nodes s))
+
+(* An agreement runs the same at any id: an 8-node region just past 2^31
+   and one just below 2^40 decide twice and check clean, over reliable
+   channels and over the ARQ on a lossy wire. *)
+let test_run_at_large_ids () =
+  let lossy =
+    Transport.Arq_over_faulty ({ Faults.none with drop = 0.2 }, Transport.default_policy)
+  in
+  List.iter
+    (fun (n, seed_node) ->
+      List.iter
+        (fun (label, channel) ->
+          let graph = Topology.implicit_ring n in
+          let region =
+            Fault_gen.compact_region graph ~seed_node:(Node_id.of_int seed_node) ~size:8
+          in
+          let outcome =
+            Runner.run
+              ~options:{ Runner.default_options with channel }
+              ~graph ~crashes:(Fault_gen.crash_at 10.0 region)
+              ~propose_value:Scenario.default_propose ()
+          in
+          let what = Printf.sprintf "region at %d of ring %d, %s" seed_node n label in
+          Alcotest.(check int) (what ^ ": decisions") 2 (List.length outcome.decisions);
+          Alcotest.(check bool) (what ^ ": checks clean") true
+            (Checker.ok (Checker.check ~value_equal:String.equal outcome)))
+        [ ("reliable", Transport.Reliable); ("lossy ARQ", lossy) ])
+    [ (1 lsl 32, (1 lsl 31) + 100); (1 lsl 40, (1 lsl 40) - 100) ]
 
 let test_node_set_full () =
   List.iter
@@ -247,8 +281,8 @@ let suite =
       Alcotest.test_case "torus kernel = stored torus" `Quick test_torus_kernel;
       Alcotest.test_case "materialize" `Quick test_materialize_identity;
       Alcotest.test_case "memo residency capped" `Quick test_memo_cap;
-      Alcotest.test_case "pair key: no 2^20 collision" `Quick test_pair_key_no_collision;
-      Alcotest.test_case "pair key roundtrip" `Quick test_pair_key_roundtrip;
+      Alcotest.test_case "stats: distinct pairs at any id" `Quick test_stats_pairs_any_id;
+      Alcotest.test_case "runs at any node id" `Quick test_run_at_large_ids;
       Alcotest.test_case "Node_set.full" `Quick test_node_set_full;
       QCheck_alcotest.to_alcotest prop_kernel_consistent;
       QCheck_alcotest.to_alcotest prop_geometry_queries_agree;

@@ -7,12 +7,18 @@ module Latency = Cliffedge_net.Latency
 module Network = Cliffedge_net.Network
 module Stats = Cliffedge_net.Stats
 module Fd = Cliffedge_detector.Failure_detector
+module Substrate = Cliffedge_detector.Substrate
 
 let n = Node_id.of_int
 
-let make_net ?(latency = Latency.Uniform { min = 1.0; max = 10.0 }) ?(seed = 1) () =
+(* A crash record as a substrate owns it; the tests write it as the
+   substrate's injection thunk does, with a stand-in event seq. *)
+let record crashed p = Node_id.Tbl.replace crashed p 0
+
+let make_net ?(latency = Latency.Uniform { min = 1.0; max = 10.0 }) ?(seed = 1)
+    ?(crashed = Node_id.Tbl.create 1) () =
   let engine = Engine.create () in
-  let net = Network.create ~engine ~rng:(Prng.create seed) ~latency () in
+  let net = Network.create ~crashed ~engine ~rng:(Prng.create seed) ~latency () in
   (engine, net)
 
 let test_delivery () =
@@ -29,7 +35,7 @@ let test_fifo_per_channel () =
      floor: draws alternate between huge and tiny. *)
   let engine = Engine.create () in
   let net =
-    Network.create ~engine ~rng:(Prng.create 3)
+    Network.create ~crashed:(Node_id.Tbl.create 1) ~engine ~rng:(Prng.create 3)
       ~latency:(Latency.Uniform { min = 0.1; max = 50.0 })
       ()
   in
@@ -55,20 +61,22 @@ let test_no_cross_channel_order () =
   Alcotest.(check int) "all arrive" 20 !count
 
 let test_crashed_destination_drops () =
-  let engine, net = make_net () in
+  let crashed = Node_id.Tbl.create 1 in
+  let engine, net = make_net ~crashed () in
   let got = ref 0 in
   Network.on_deliver net (fun ~src:_ ~dst:_ _ -> incr got);
   Network.send net ~src:(n 1) ~dst:(n 2) "in-flight";
-  Network.crash net (n 2);
+  record crashed (n 2);
   Engine.run engine;
   Alcotest.(check int) "dropped at delivery" 0 !got;
   Alcotest.(check int) "counted as drop" 1 (Stats.dropped (Network.stats net))
 
 let test_crashed_source_ignored () =
-  let engine, net = make_net () in
+  let crashed = Node_id.Tbl.create 1 in
+  let engine, net = make_net ~crashed () in
   let got = ref 0 in
   Network.on_deliver net (fun ~src:_ ~dst:_ _ -> incr got);
-  Network.crash net (n 1);
+  record crashed (n 1);
   Network.send net ~src:(n 1) ~dst:(n 2) "never";
   Engine.run engine;
   Alcotest.(check int) "not delivered" 0 !got;
@@ -77,11 +85,12 @@ let test_crashed_source_ignored () =
 let test_sent_before_crash_still_delivered () =
   (* Asynchronous model: messages already in flight from a node that
      subsequently crashes are delivered. *)
-  let engine, net = make_net () in
+  let crashed = Node_id.Tbl.create 1 in
+  let engine, net = make_net ~crashed () in
   let got = ref 0 in
   Network.on_deliver net (fun ~src:_ ~dst:_ _ -> incr got);
   Network.send net ~src:(n 1) ~dst:(n 2) "flying";
-  ignore (Engine.schedule engine ~delay:0.01 (fun () -> Network.crash net (n 1)));
+  ignore (Engine.schedule engine ~delay:0.01 (fun () -> record crashed (n 1)));
   Engine.run engine;
   Alcotest.(check int) "delivered" 1 !got
 
@@ -107,83 +116,103 @@ let test_units_accounting () =
 
 (* ---------------- failure detector ---------------- *)
 
+(* [crash p] injects a crash as the substrate's thunk does: into the
+   crash record first, then into the detector. *)
 let make_fd ?(latency = Latency.Constant 2.0) () =
   let engine = Engine.create () in
-  let fd = Fd.create ~engine ~rng:(Prng.create 5) ~latency () in
-  (engine, fd)
+  let crashed = Node_id.Tbl.create 1 in
+  let fd = Fd.create ~engine ~rng:(Prng.create 5) ~latency ~crashed () in
+  let crash p =
+    record crashed p;
+    Fd.inject_crash fd p
+  in
+  (engine, fd, crash)
 
 let test_fd_notifies_subscriber () =
-  let engine, fd = make_fd () in
+  let engine, fd, crash = make_fd () in
   let got = ref [] in
   Fd.on_crash_notification fd (fun ~observer ~crashed ->
       got := (Node_id.to_int observer, Node_id.to_int crashed) :: !got);
   Fd.monitor fd ~observer:(n 1) ~targets:(Node_set.of_ints [ 2 ]);
-  ignore (Engine.schedule engine ~delay:1.0 (fun () -> Fd.inject_crash fd (n 2)));
+  ignore (Engine.schedule engine ~delay:1.0 (fun () -> crash (n 2)));
   Engine.run engine;
   Alcotest.(check (list (pair int int))) "notified" [ (1, 2) ] !got
 
 let test_fd_strong_accuracy () =
   (* No crash, no notification; unsubscribed observers hear nothing. *)
-  let engine, fd = make_fd () in
+  let engine, fd, crash = make_fd () in
   let got = ref 0 in
   Fd.on_crash_notification fd (fun ~observer:_ ~crashed:_ -> incr got);
   Fd.monitor fd ~observer:(n 1) ~targets:(Node_set.of_ints [ 2 ]);
-  ignore (Engine.schedule engine ~delay:1.0 (fun () -> Fd.inject_crash fd (n 3)));
+  ignore (Engine.schedule engine ~delay:1.0 (fun () -> crash (n 3)));
   Engine.run engine;
   Alcotest.(check int) "no spurious notification" 0 !got
 
 let test_fd_late_subscription () =
   (* Strong completeness also for subscriptions after the crash. *)
-  let engine, fd = make_fd () in
+  let engine, fd, crash = make_fd () in
   let got = ref [] in
   Fd.on_crash_notification fd (fun ~observer ~crashed ->
       got := (Node_id.to_int observer, Node_id.to_int crashed) :: !got);
-  Fd.inject_crash fd (n 9);
+  crash (n 9);
   Fd.monitor fd ~observer:(n 1) ~targets:(Node_set.of_ints [ 9 ]);
   Engine.run engine;
   Alcotest.(check (list (pair int int))) "late notified" [ (1, 9) ] !got
 
+(* A repeated subscription is notified once.  A node cannot crash twice:
+   the substrate rejects such a schedule (test_runner's "crash named
+   twice"). *)
 let test_fd_no_duplicate () =
-  let engine, fd = make_fd () in
+  let engine, fd, crash = make_fd () in
   let got = ref 0 in
   Fd.on_crash_notification fd (fun ~observer:_ ~crashed:_ -> incr got);
   Fd.monitor fd ~observer:(n 1) ~targets:(Node_set.of_ints [ 2 ]);
   Fd.monitor fd ~observer:(n 1) ~targets:(Node_set.of_ints [ 2 ]);
-  Fd.inject_crash fd (n 2);
-  Fd.inject_crash fd (n 2);
+  crash (n 2);
   Engine.run engine;
   Alcotest.(check int) "once" 1 !got
 
 let test_fd_dead_observer_not_notified () =
-  let engine, fd = make_fd () in
+  let engine, fd, crash = make_fd () in
   let got = ref 0 in
   Fd.on_crash_notification fd (fun ~observer:_ ~crashed:_ -> incr got);
   Fd.monitor fd ~observer:(n 1) ~targets:(Node_set.of_ints [ 2 ]);
-  Fd.inject_crash fd (n 1);
-  Fd.inject_crash fd (n 2);
+  crash (n 1);
+  crash (n 2);
   Engine.run engine;
   Alcotest.(check int) "dead observers stay silent" 0 !got
 
 let test_fd_self_subscription_ignored () =
-  let engine, fd = make_fd () in
+  let engine, fd, crash = make_fd () in
   let got = ref 0 in
   Fd.on_crash_notification fd (fun ~observer:_ ~crashed:_ -> incr got);
   Fd.monitor fd ~observer:(n 1) ~targets:(Node_set.of_ints [ 1 ]);
-  Fd.inject_crash fd (n 1);
+  crash (n 1);
   Engine.run engine;
   Alcotest.(check int) "no self notification" 0 !got
 
-(* A crash takes effect at its injection time, not before. *)
+(* A crash takes effect at its injection time, not before: the
+   substrate's crash record, which the detector reads, gains the node
+   then, with the seq of its [Crash] event. *)
 let test_fd_crash_time () =
-  let engine, fd = make_fd () in
-  ignore (Engine.schedule engine ~delay:4.0 (fun () -> Fd.inject_crash fd (n 2)));
+  let latency = Latency.Constant 2.0 in
+  let sub =
+    Substrate.create ~seed:5 ~message_latency:latency ~detection_latency:latency
+      ~channel_consistent_fd:true ()
+  in
+  Substrate.schedule_crashes sub [ (4.0, n 2) ];
   let before = ref true in
-  ignore (Engine.schedule engine ~delay:3.0 (fun () -> before := Fd.is_crashed fd (n 2)));
-  Engine.run engine;
+  ignore
+    (Engine.schedule sub.engine ~delay:3.0 (fun () ->
+         before := Substrate.is_crashed sub (n 2)));
+  Substrate.run ~max_events:100 sub;
   Alcotest.(check bool) "alive before its crash time" false !before;
-  Alcotest.(check bool) "alive" false (Fd.is_crashed fd (n 1));
-  Alcotest.(check bool) "is_crashed" true (Fd.is_crashed fd (n 2));
-  Alcotest.(check (list int)) "crashed set" [ 2 ] (Node_set.to_ints (Fd.crashed_nodes fd))
+  Alcotest.(check bool) "alive" false (Substrate.is_crashed sub (n 1));
+  Alcotest.(check bool) "is_crashed" true (Substrate.is_crashed sub (n 2));
+  Alcotest.(check (list int)) "crashed set" [ 2 ]
+    (Node_set.to_ints (Substrate.crashed_nodes sub));
+  Alcotest.(check (option int)) "Crash event seq" (Some 0)
+    (Node_id.Tbl.find_opt sub.crashed (n 2))
 
 let suite =
   ( "network/detector",
@@ -227,15 +256,16 @@ let test_flush_time_crashed_nodes () =
      crashed sender's later sends are ignored, and messages already
      scheduled towards a crashed destination keep their slot (they are
      dropped at delivery time, not unscheduled). *)
-  let engine, net = make_net ~latency:(Latency.Constant 5.0) () in
+  let crashed = Node_id.Tbl.create 1 in
+  let engine, net = make_net ~latency:(Latency.Constant 5.0) ~crashed () in
   Network.on_deliver net (fun ~src:_ ~dst:_ _ -> ());
   Network.send net ~src:(n 1) ~dst:(n 2) "a";
   let flush = Network.flush_time net ~src:(n 1) ~dst:(n 2) in
-  Network.crash net (n 1);
+  record crashed (n 1);
   Network.send net ~src:(n 1) ~dst:(n 2) "ignored";
   Alcotest.(check (float 1e-9)) "crashed src cannot extend the floor" flush
     (Network.flush_time net ~src:(n 1) ~dst:(n 2));
-  Network.crash net (n 2);
+  record crashed (n 2);
   Alcotest.(check (float 1e-9)) "crash of dst keeps scheduled slot" flush
     (Network.flush_time net ~src:(n 1) ~dst:(n 2));
   Engine.run engine;
@@ -247,7 +277,7 @@ let test_flush_time_monotone_interleaved () =
      and interleaved traffic on other channels does not perturb it. *)
   let engine = Engine.create () in
   let net =
-    Network.create ~engine ~rng:(Prng.create 11)
+    Network.create ~crashed:(Node_id.Tbl.create 1) ~engine ~rng:(Prng.create 11)
       ~latency:(Latency.Uniform { min = 0.1; max = 50.0 })
       ()
   in
@@ -273,7 +303,8 @@ let plan spec =
 let make_faulty_net ?(latency = Latency.Constant 5.0) ?(seed = 1) spec =
   let engine = Engine.create () in
   let net =
-    Network.create ~faults:(plan spec) ~engine ~rng:(Prng.create seed) ~latency ()
+    Network.create ~faults:(plan spec) ~crashed:(Node_id.Tbl.create 1) ~engine
+      ~rng:(Prng.create seed) ~latency ()
   in
   (engine, net)
 
@@ -363,11 +394,14 @@ let test_pass_through_plan_is_reliable () =
   in
   let latency = Latency.Uniform { min = 1.0; max = 10.0 } in
   let reliable =
-    run (fun engine -> Network.create ~engine ~rng:(Prng.create 9) ~latency ())
+    run (fun engine ->
+        Network.create ~crashed:(Node_id.Tbl.create 1) ~engine ~rng:(Prng.create 9)
+          ~latency ())
   in
   let pass_through =
     run (fun engine ->
-        Network.create ~faults:(plan "none") ~engine ~rng:(Prng.create 9) ~latency ())
+        Network.create ~faults:(plan "none") ~crashed:(Node_id.Tbl.create 1) ~engine
+          ~rng:(Prng.create 9) ~latency ())
   in
   Alcotest.(check (list (pair (float 1e-9) int))) "identical schedules" reliable
     pass_through

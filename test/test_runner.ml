@@ -89,6 +89,20 @@ let test_crash_outside_graph_rejected () =
     (Invalid_argument "Runner.run: crash schedule names a node outside the graph")
     (fun () -> ignore (run (Topology.ring 5) [ (1.0, Node_id.of_int 77) ]))
 
+(* A second entry for a node would log a second [Crash] of a dead node
+   and parent later suspicions on it.  The substrate rejects the
+   schedule before anything runs, for every runner built on it. *)
+let test_crash_named_twice () =
+  let n = Node_id.of_int in
+  let crashes = [ (10.0, n 3); (10.0, n 4); (30.0, n 4) ] in
+  let rejected =
+    Invalid_argument "Substrate.schedule_crashes: node n4 is scheduled to crash twice"
+  in
+  Alcotest.check_raises "cliff-edge runner" rejected (fun () ->
+      ignore (run (Topology.ring 8) crashes));
+  Alcotest.check_raises "global baseline" rejected (fun () ->
+      ignore (Cliffedge_baseline.Global_runner.run ~graph:(Topology.ring 8) ~crashes ()))
+
 let test_event_cap_reported () =
   let region = set [ 3; 4 ] in
   let options = { Runner.default_options with max_events = 5 } in
@@ -176,6 +190,7 @@ let suite =
       Alcotest.test_case "restart metric" `Quick test_restart_metric;
       Alcotest.test_case "round metric" `Quick test_max_round_metric;
       Alcotest.test_case "crash outside graph" `Quick test_crash_outside_graph_rejected;
+      Alcotest.test_case "crash named twice" `Quick test_crash_named_twice;
       Alcotest.test_case "event cap" `Quick test_event_cap_reported;
       Alcotest.test_case "decisions sorted" `Quick test_decisions_sorted_by_time;
       Alcotest.test_case "near-total failure" `Quick test_whole_graph_minus_one;

@@ -65,7 +65,7 @@ let check_exactly_once_fifo seed =
   let plan = random_plan rng in
   let engine = Engine.create () in
   let net =
-    Network.create ~faults:plan ~engine
+    Network.create ~faults:plan ~crashed:(Node_id.Tbl.create 1) ~engine
       ~rng:(Prng.create (seed lxor 0x5eed))
       ~latency:(Latency.Uniform { min = 1.0; max = 10.0 })
       ()
@@ -268,16 +268,18 @@ let test_flush_time_over_arq () =
      its channel has no finite flush floor; once the sender crashes the
      floor collapses to the underlying network's. *)
   let engine = Engine.create () in
+  let crashed = Node_id.Tbl.create 1 in
   let net =
     Network.create
       ~faults:{ Faults.none with Faults.drop = 1.0 }
-      ~engine ~rng:(Prng.create 7) ~latency:(Latency.Constant 5.0) ()
+      ~crashed ~engine ~rng:(Prng.create 7) ~latency:(Latency.Constant 5.0) ()
   in
   let transport = Transport.create ~obs:(Obs.Log.create ()) ~engine ~network:net () in
   Transport.on_deliver transport (fun ~src:_ ~dst:_ _ -> ());
   Transport.send transport ~src:(n 1) ~dst:(n 2) "doomed";
   Alcotest.(check bool) "unacked => no finite floor" true
     (Transport.flush_time transport ~src:(n 1) ~dst:(n 2) = infinity);
+  Node_id.Tbl.replace crashed (n 1) 0;
   Transport.crash transport (n 1);
   Alcotest.(check bool) "crashed sender => underlying floor" true
     (Transport.flush_time transport ~src:(n 1) ~dst:(n 2) = neg_infinity);
