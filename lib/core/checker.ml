@@ -104,7 +104,34 @@ let check_cd2 graph crash_time (decisions : 'v Runner.decision list) =
       connected @ all_crashed @ borders)
     decisions
 
-let check_cd3 geometry ~first_send stats =
+(* The witness events citations draw from: the first [Send] per ordered
+   pair (CD3), each node's [Crash] injection and the ARQ [Stall] events
+   in log order (CD7).  One scan of the causal log, forced only when a
+   violation needs a citation: a clean run reads none of it. *)
+type citations = {
+  first_send : int Node_id.Tbl.t Node_id.Tbl.t;
+  crash_ev : int Node_id.Tbl.t;
+  stall_evs : (Node_id.t * Node_id.t * int) list;
+}
+
+let citations obs =
+  let first_send = Node_id.Tbl.create 16 and crash_ev = Node_id.Tbl.create 16 in
+  let stall_evs = ref [] in
+  for seq = 0 to Obs.Log.length obs - 1 do
+    match Obs.Log.kind obs seq with
+    | Obs.Event.Send { dst; _ } ->
+        let row = Node_id.row first_send (Obs.Log.node obs seq) in
+        if not (Node_id.Tbl.mem row dst) then Node_id.Tbl.add row dst seq
+    | Obs.Event.Crash ->
+        let p = Obs.Log.node obs seq in
+        if not (Node_id.Tbl.mem crash_ev p) then Node_id.Tbl.add crash_ev p seq
+    | Obs.Event.Stall { dst } ->
+        stall_evs := (Obs.Log.node obs seq, dst, seq) :: !stall_evs
+    | _ -> ()
+  done;
+  { first_send; crash_ev; stall_evs = List.rev !stall_evs }
+
+let check_cd3 geometry ~citations stats =
   let envelopes = Fault_geometry.communication_envelope geometry in
   let pairs = Cliffedge_net.Stats.pairs stats in
   let violations =
@@ -117,11 +144,12 @@ let check_cd3 geometry ~first_send stats =
         in
         if covered then None
         else
+          let (lazy { first_send; _ }) = citations in
           let events =
             cite
               [
-                Hashtbl.find_opt first_send
-                  (Node_id.to_int src, Node_id.to_int dst);
+                Option.bind (Node_id.Tbl.find_opt first_send src) (fun row ->
+                    Node_id.Tbl.find_opt row dst);
               ]
           in
           Some
@@ -206,7 +234,7 @@ let check_cd6 ~correct (decisions : 'v Runner.decision list) =
   in
   pairs [] correct_decisions
 
-let check_cd7 graph geometry ~correct ~quiescent ~crash_ev ~stall_evs by_node =
+let check_cd7 graph geometry ~correct ~quiescent ~citations by_node =
   let clusters = Fault_geometry.cluster_borders geometry in
   if clusters = [] then []
   else if not (quiescent : bool) then
@@ -225,13 +253,14 @@ let check_cd7 graph geometry ~correct ~quiescent ~crash_ev ~stall_evs by_node =
              neighbours of the border) and any ARQ stalls confined to
              the border — the inputs a progress failure traces back
              to. *)
+          let (lazy { crash_ev; stall_evs; _ }) = citations in
           let crashes =
             Node_set.fold
               (fun p acc ->
                 Node_set.fold
                   (fun q acc ->
                     if not (correct q) then
-                      match Hashtbl.find_opt crash_ev (Node_id.to_int q) with
+                      match Node_id.Tbl.find_opt crash_ev q with
                       | Some seq -> seq :: acc
                       | None -> acc
                     else acc)
@@ -270,25 +299,8 @@ let check ?(value_equal = (( = ) [@lint.allow "no-poly-compare"]))
   let correct p = Graph.mem_node p graph && not (Node_set.mem p outcome.crashed) in
   let crash_time = crash_times outcome.crashes in
   let by_node = decisions_by_node outcome.decisions in
-  (* One scan of the causal log collects the witness events citations
-     draw from: the first Send per ordered pair (CD3), each node's
-     Crash injection and the ARQ Stall events (CD7). *)
-  let first_send : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let crash_ev : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let stall_evs = ref [] in
-  Obs.Log.iter outcome.obs (fun e ->
-      match e.Obs.Event.kind with
-      | Obs.Event.Send { dst; _ } ->
-          let key = (Node_id.to_int e.Obs.Event.node, Node_id.to_int dst) in
-          if not (Hashtbl.mem first_send key) then
-            Hashtbl.add first_send key e.Obs.Event.seq
-      | Obs.Event.Crash ->
-          let key = Node_id.to_int e.Obs.Event.node in
-          if not (Hashtbl.mem crash_ev key) then Hashtbl.add crash_ev key e.Obs.Event.seq
-      | Obs.Event.Stall { dst } ->
-          stall_evs := (e.Obs.Event.node, dst, e.Obs.Event.seq) :: !stall_evs
-      | _ -> ());
-  let cd3, pairs_checked = check_cd3 geometry ~first_send outcome.stats in
+  let citations = lazy (citations outcome.obs) in
+  let cd3, pairs_checked = check_cd3 geometry ~citations outcome.stats in
   let violations =
     check_cd1 outcome.decisions
     @ check_cd2 graph crash_time outcome.decisions
@@ -296,8 +308,7 @@ let check ?(value_equal = (( = ) [@lint.allow "no-poly-compare"]))
     @ check_cd4 graph ~correct ~quiescent:outcome.quiescent by_node outcome.decisions
     @ check_cd5 graph value_equal by_node outcome.decisions
     @ check_cd6 ~correct outcome.decisions
-    @ check_cd7 graph geometry ~correct ~quiescent:outcome.quiescent ~crash_ev
-        ~stall_evs:(List.rev !stall_evs) by_node
+    @ check_cd7 graph geometry ~correct ~quiescent:outcome.quiescent ~citations by_node
   in
   {
     violations;

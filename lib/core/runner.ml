@@ -103,10 +103,11 @@ let protocol_stepper cfg ~self =
    event of the sender. *)
 let stalled_channels obs =
   let stalled = ref [] in
-  Obs.Log.iter obs (fun e ->
-      match e.Obs.Event.kind with
-      | Obs.Event.Stall { dst } -> stalled := (e.Obs.Event.node, dst) :: !stalled
-      | _ -> ());
+  for seq = 0 to Obs.Log.length obs - 1 do
+    match Obs.Log.kind obs seq with
+    | Obs.Event.Stall { dst } -> stalled := (Obs.Log.node obs seq, dst) :: !stalled
+    | _ -> ()
+  done;
   List.sort_uniq
     (fun (s1, d1) (s2, d2) ->
       let c = Node_id.compare s1 s2 in

@@ -135,40 +135,53 @@ let send t ?(units = 1) ~src ~dst msg =
               Some ({ b_src = src; b_dst = dst; b_units = units; b_rev = [ item ] } :: cells))
   end
 
+(* Flushes in first-touch order, one envelope per (src,dst) with the
+   units of all its items: one latency draw / ARQ frame per pair per
+   scope. *)
+let rec dispatch_cells t = function
+  | [] -> ()
+  | c :: rest ->
+      dispatch_envelope t ~units:c.b_units ~src:c.b_src ~dst:c.b_dst (List.rev c.b_rev);
+      dispatch_cells t rest
+
+let close_batch t =
+  let cells = match t.batch with Some c -> List.rev c | None -> [] in
+  t.batch <- None;
+  dispatch_cells t cells
+
+(* Plain save-and-restore code rather than [Fun.protect]: no closure
+   per scope, and the batch is still flushed when [f] raises. *)
 let batched t f =
   match t.batch with
   | Some _ ->
       (* Nested scope: merge into the outer batch. *)
       f ()
-  | None ->
+  | None -> (
       t.batch <- Some [];
-      Fun.protect f ~finally:(fun () ->
-          (* Flush in first-touch order, one envelope per (src,dst) with
-             the units of all its items — one latency draw / ARQ frame
-             per pair per scope. *)
-          let cells = match t.batch with Some c -> List.rev c | None -> [] in
-          t.batch <- None;
-          List.iter
-            (fun c ->
-              dispatch_envelope t ~units:c.b_units ~src:c.b_src ~dst:c.b_dst
-                (List.rev c.b_rev))
-            cells)
+      match f () with
+      | result ->
+          close_batch t;
+          result
+      | exception e ->
+          close_batch t;
+          raise e)
+
+(* One [Deliver] event per logical send the envelope carries, each
+   parented on its own [Send]: batching is invisible to the causal log's
+   structure.  A recursive walk, not [List.iter], so delivering an
+   envelope allocates no closure. *)
+let rec deliver_items t handler ~src ~dst = function
+  | [] -> ()
+  | item :: rest ->
+      let seq =
+        Obs.Log.record t.obs ~time:(Engine.now t.engine) ~node:dst ~parent:item.cause
+          (Obs.Event.Deliver { src })
+      in
+      Obs.Log.with_context t.obs seq (fun () -> handler ~src ~dst item.payload);
+      deliver_items t handler ~src ~dst rest
 
 let on_deliver t handler =
-  let wrapped ~src ~dst env =
-    (* One [Deliver] event per logical send the envelope carries, each
-       parented on its own [Send]: batching is invisible to the causal
-       log's structure. *)
-    List.iter
-      (fun item ->
-        let seq =
-          Obs.Log.record t.obs ~time:(Engine.now t.engine) ~node:dst
-            ~parent:item.cause
-            (Obs.Event.Deliver { src })
-        in
-        Obs.Log.with_context t.obs seq (fun () -> handler ~src ~dst item.payload))
-      env
-  in
+  let wrapped ~src ~dst env = deliver_items t handler ~src ~dst env in
   match t.conduit with
   | Direct network -> Network.on_deliver network wrapped
   | Arq transport -> Transport.on_deliver transport wrapped

@@ -165,6 +165,53 @@ let world_fp w =
   in
   mix (mix (mix h 10) (List.length w.decisions)) decisions
 
+(* The visited set: fingerprints in an open-addressed int array with
+   linear probing, at most half full, so recording a state is one probe
+   sequence ([add] says whether the fingerprint was new).  World
+   fingerprints end in a [mix], whose shift folds the high product bits
+   into the low ones, so the low bits index the table as they are.
+   [vacant] marks a free slot; the one fingerprint equal to it is kept
+   as a flag. *)
+module Visited = struct
+  type t = { mutable slots : int array; mutable count : int; mutable has_vacant : bool }
+
+  let vacant = min_int
+
+  let create () = { slots = Array.make 4096 vacant; count = 0; has_vacant = false }
+
+  let rec insert slots fp i =
+    let s = slots.(i) in
+    if Int.equal s vacant then begin
+      slots.(i) <- fp;
+      true
+    end
+    else if Int.equal s fp then false
+    else insert slots fp ((i + 1) land (Array.length slots - 1))
+
+  let grow t =
+    let old = t.slots in
+    let slots = Array.make (2 * Array.length old) vacant in
+    let mask = Array.length slots - 1 in
+    Array.iter
+      (fun fp ->
+        if not (Int.equal fp vacant) then ignore (insert slots fp (fp land mask)))
+      old;
+    t.slots <- slots
+
+  let add t fp =
+    if Int.equal fp vacant then begin
+      let fresh = not t.has_vacant in
+      t.has_vacant <- true;
+      fresh
+    end
+    else begin
+      if 2 * (t.count + 1) > Array.length t.slots then grow t;
+      let fresh = insert t.slots fp (fp land (Array.length t.slots - 1)) in
+      if fresh then t.count <- t.count + 1;
+      fresh
+    end
+end
+
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
 
@@ -177,7 +224,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
         Printf.sprintf "plan(%d,%d)" (Node_id.to_int p) (Node_set.cardinal v))
       ()
   in
-  let visited : (int, unit) Hashtbl.t = Hashtbl.create 4096 in
+  let visited = Visited.create () in
   let states = ref 0
   and transitions = ref 0
   and leaves = ref 0
@@ -455,9 +502,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
   (* -------------------- DFS over the state graph ------------------- *)
   let rec dfs trace w =
     if !states < max_states then begin
-      let fp = world_fp w in
-      if not (Hashtbl.mem visited fp) then begin
-        Hashtbl.replace visited fp ();
+      if Visited.add visited (world_fp w) then begin
         incr states;
         match enabled_moves w with
         | [] -> check_leaf trace w
@@ -503,13 +548,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
   | Exhaustive -> dfs [] initial
   | Sample { walks; seed } ->
       let rng = Cliffedge_prng.Prng.create seed in
-      let record w =
-        let fp = world_fp w in
-        if not (Hashtbl.mem visited fp) then begin
-          Hashtbl.replace visited fp ();
-          incr states
-        end
-      in
+      let record w = if Visited.add visited (world_fp w) then incr states in
       for _ = 1 to walks do
         let rec walk trace w =
           record w;

@@ -7,20 +7,16 @@ module Prng = Cliffedge_prng.Prng
    apart from any other [Failure]. *)
 exception No_handler of string
 
-(* One ordered channel, created at its first send.  [flush] is the max
-   scheduled delivery time over its messages: the FIFO floor on the
-   reliable path and, since faulty scheduling is not monotone, a running
-   max kept for [flush_time] on the faulty path.  [floor] and [recent]
-   are the fault plan's reordering bookkeeping: [floor] is the max
-   scheduled delivery time over every message on the channel except the
-   most recent [reorder] ones ([recent], most recent first), so clamping
-   a new delivery above [floor] lets it overtake at most [reorder]
+(* One ordered channel is a {!Stats.channel}, created at its first send
+   and shared with the message counts.  [flush] is the max scheduled
+   delivery time over its messages: the FIFO floor on the reliable path
+   and, since faulty scheduling is not monotone, a running max kept for
+   [flush_time] on the faulty path.  [floor] and [recent] are the fault
+   plan's reordering bookkeeping: [floor] is the max scheduled delivery
+   time over every message on the channel except the most recent
+   [reorder] ones ([recent], most recent first), so clamping a new
+   delivery above [floor] lets it overtake at most [reorder]
    predecessors — and exactly restores FIFO when the bound is 0. *)
-type channel = {
-  mutable flush : float;
-  mutable floor : float;
-  mutable recent : float list;
-}
 
 type 'a t = {
   engine : Engine.t;
@@ -29,9 +25,6 @@ type 'a t = {
   faults : Faults.t option;
   stats : Stats.t;
   crashed : int Node_id.Tbl.t;
-  (* Source row -> destination -> channel: one record per ordered pair
-     that carried traffic, reached by hashing the two ids. *)
-  channels : channel Node_id.Tbl.t Node_id.Tbl.t;
   mutable deliver : (src:Node_id.t -> dst:Node_id.t -> 'a -> unit) option;
 }
 
@@ -50,22 +43,12 @@ let create ?faults ~crashed ~engine ~rng ~latency () =
     faults;
     stats = Stats.create ();
     crashed;
-    channels = Node_id.Tbl.create 16;
     deliver = None;
   }
 
 let on_deliver t handler = t.deliver <- Some handler
 
 let is_crashed t p = Node_id.Tbl.mem t.crashed p
-
-let channel t ~src ~dst =
-  let row = Node_id.row t.channels src in
-  match Node_id.Tbl.find row dst with
-  | c -> c
-  | exception Not_found ->
-      let c = { flush = neg_infinity; floor = neg_infinity; recent = [] } in
-      Node_id.Tbl.add row dst c;
-      c
 
 let schedule_delivery t ~src ~dst ~time payload =
   ignore
@@ -83,7 +66,7 @@ let schedule_delivery t ~src ~dst ~time payload =
    copies: a dup is the same message again, so it neither respects nor
    tightens the reordering floor (duplication is inherently
    out-of-order). *)
-let schedule_faulty_copy t ~bound ~jitter ~src ~dst c payload =
+let schedule_faulty_copy t ~bound ~jitter ~src ~dst (c : Stats.channel) payload =
   let earliest = Engine.now t.engine +. Latency.sample t.latency t.rng in
   let time =
     if jitter then earliest
@@ -104,8 +87,7 @@ let schedule_faulty_copy t ~bound ~jitter ~src ~dst c payload =
 
 let send t ?(units = 1) ~src ~dst payload =
   if not (is_crashed t src) then begin
-    Stats.record_send t.stats ~src ~dst ~units;
-    let c = channel t ~src ~dst in
+    let c = Stats.send_channel t.stats ~src ~dst ~units in
     match t.faults with
     | None ->
         let earliest = Engine.now t.engine +. Latency.sample t.latency t.rng in
@@ -131,8 +113,8 @@ let send t ?(units = 1) ~src ~dst payload =
   end
 
 let flush_time t ~src ~dst =
-  match Node_id.Tbl.find (Node_id.Tbl.find t.channels src) dst with
-  | c -> c.flush
+  match Stats.find_channel t.stats ~src ~dst with
+  | c -> c.Stats.flush
   | exception Not_found -> neg_infinity
 
 let stats t = t.stats

@@ -1,5 +1,12 @@
 open Cliffedge_graph
 
+type channel = {
+  mutable count : int;
+  mutable flush : float;
+  mutable floor : float;
+  mutable recent : float list;
+}
+
 type t = {
   mutable sent : int;
   mutable delivered : int;
@@ -10,10 +17,12 @@ type t = {
   mutable duplicated : int;
   mutable retransmitted : int;
   mutable deduped : int;
-  (* Messages per ordered pair: the source's row maps each destination
-     to its count, so a send hashes two ids and allocates nothing once
-     the pair has a cell, whatever the ids' magnitude. *)
-  per_pair : int ref Node_id.Tbl.t Node_id.Tbl.t;
+  (* One record per ordered pair that carried traffic: the source's row
+     maps each destination to it, so a send hashes two ids and
+     allocates nothing once the pair has a record, whatever the ids'
+     magnitude.  The network keeps its delivery schedule in the same
+     record, so each sender has one row. *)
+  channels : channel Node_id.Tbl.t Node_id.Tbl.t;
 }
 
 let create () =
@@ -26,17 +35,26 @@ let create () =
     duplicated = 0;
     retransmitted = 0;
     deduped = 0;
-    per_pair = Node_id.Tbl.create 16;
+    channels = Node_id.Tbl.create 16;
   }
 
-let record_send t ~src ~dst ~units =
+let send_channel t ~src ~dst ~units =
   if units < 0 then invalid_arg "Stats.record_send: negative units";
   t.sent <- t.sent + 1;
   t.units_sent <- t.units_sent + units;
-  let row = Node_id.row t.per_pair src in
+  let row = Node_id.row t.channels src in
   match Node_id.Tbl.find row dst with
-  | count -> incr count
-  | exception Not_found -> Node_id.Tbl.add row dst (ref 1)
+  | c ->
+      c.count <- c.count + 1;
+      c
+  | exception Not_found ->
+      let c = { count = 1; flush = neg_infinity; floor = neg_infinity; recent = [] } in
+      Node_id.Tbl.add row dst c;
+      c
+
+let record_send t ~src ~dst ~units = ignore (send_channel t ~src ~dst ~units)
+
+let find_channel t ~src ~dst = Node_id.Tbl.find (Node_id.Tbl.find t.channels src) dst
 
 let record_delivery t = t.delivered <- t.delivered + 1
 
@@ -69,7 +87,7 @@ let units_sent t = t.units_sent
 let fold_pairs f t init =
   Node_id.Tbl.fold
     (fun src row acc -> Node_id.Tbl.fold (fun dst _ acc -> f src dst acc) row acc)
-    t.per_pair init
+    t.channels init
 
 let pairs t =
   fold_pairs (fun src dst acc -> (src, dst) :: acc) t []
@@ -79,9 +97,7 @@ let pairs t =
          if c <> 0 then c else Node_id.compare d1 d2)
 
 let pair_count t ~src ~dst =
-  match Node_id.Tbl.find (Node_id.Tbl.find t.per_pair src) dst with
-  | count -> !count
-  | exception Not_found -> 0
+  match find_channel t ~src ~dst with c -> c.count | exception Not_found -> 0
 
 let communicating_nodes t =
   fold_pairs (fun src dst acc -> Node_set.add src (Node_set.add dst acc)) t Node_set.empty

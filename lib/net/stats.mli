@@ -10,6 +10,17 @@ open Cliffedge_graph
 
 type t
 
+type channel = {
+  mutable count : int;  (** messages sent on the pair *)
+  mutable flush : float;
+  mutable floor : float;
+  mutable recent : float list;
+}
+(** One ordered pair that carried traffic, created at its first send.
+    [count] is this module's; the other fields are the delivery
+    schedule {!Network} keeps per channel (see network.ml), held here so
+    that a sender has one row of per-pair records, not one per module. *)
+
 val create : unit -> t
 
 val record_send : t -> src:Node_id.t -> dst:Node_id.t -> units:int -> unit
@@ -18,6 +29,13 @@ val record_send : t -> src:Node_id.t -> dst:Node_id.t -> units:int -> unit
     let [units_sent] go backwards — is rejected.
     @raise Invalid_argument if [units < 0]; zero is legal (ARQ acks
     carry no payload). *)
+
+val send_channel : t -> src:Node_id.t -> dst:Node_id.t -> units:int -> channel
+(** {!record_send}, returning the pair's record. *)
+
+val find_channel : t -> src:Node_id.t -> dst:Node_id.t -> channel
+(** The pair's record.
+    @raise Not_found if nothing was ever sent from [src] to [dst]. *)
 
 val record_delivery : t -> unit
 

@@ -21,11 +21,15 @@ let create () =
     max_v = neg_infinity;
   }
 
+(* A loop over local refs, which the compiler keeps unboxed: bucketing a
+   sample allocates no closure and no boxed bound. *)
 let bucket_of v =
-  let rec go idx hi =
-    if idx >= bucket_count - 1 || v < hi then idx else go (idx + 1) (hi *. 2.0)
-  in
-  go 0 1.0
+  let idx = ref 0 and hi = ref 1.0 in
+  while !idx < bucket_count - 1 && not (v < !hi) do
+    incr idx;
+    hi := !hi *. 2.0
+  done;
+  !idx
 
 let bounds idx =
   if idx <= 0 then (0.0, 1.0)
@@ -36,7 +40,8 @@ let bounds idx =
 
 let add t v =
   if Float.is_nan v || v < 0.0 then invalid_arg "Obs.Hist.add: NaN or negative sample";
-  t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
+  let idx = bucket_of v in
+  t.counts.(idx) <- t.counts.(idx) + 1;
   t.total <- t.total + 1;
   t.sum <- t.sum +. v;
   if v < t.min_v then t.min_v <- v;

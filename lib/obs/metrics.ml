@@ -10,15 +10,19 @@ type t = {
 
 (* All four histograms come out of one pass over the log, keyed on the
    small amount of state each latency needs:
-   - decide latency: first [Propose] time per instance, closed by each
+   - decide latency: first [Propose] per instance, closed by each
      [Decide] of that instance;
    - round latency: last round-chain event ([Propose] or [Round]) per
      instance and node, advanced by the next [Round];
-   - retransmit delay: last [Send] time per (src, dst) channel, read by
-     [Retransmit] on the same channel;
+   - retransmit delay: last [Send] per (src, dst) channel (the source's
+     row, then the destination), read by [Retransmit] on the same
+     channel;
    - FD lag: the [Suspect] -> [Crash] causal edge, resolved through the
      log itself (false suspicions have no parent and contribute
-     nothing). *)
+     nothing).
+   The tables hold sequence ids, not boxed times, and the pass reads
+   each event's fields in place rather than building the [Event.t]
+   records {!Log.iter} would. *)
 let of_log log =
   let t =
     {
@@ -29,60 +33,73 @@ let of_log log =
       fd_lag = Hist.create ();
     }
   in
-  let proposed : float Node_set.Tbl.t = Node_set.Tbl.create 16 in
-  let round_chain : (int, float) Hashtbl.t Node_set.Tbl.t = Node_set.Tbl.create 16 in
+  let since first seq = Log.time log seq -. Log.time log first in
+  let proposed : int Node_set.Tbl.t = Node_set.Tbl.create 16 in
+  let round_chain : int Node_id.Tbl.t Node_set.Tbl.t = Node_set.Tbl.create 16 in
   let chain view =
     match Node_set.Tbl.find_opt round_chain view with
     | Some nodes -> nodes
     | None ->
-        let nodes = Hashtbl.create 8 in
+        let nodes = Node_id.Tbl.create 8 in
         Node_set.Tbl.replace round_chain view nodes;
         nodes
   in
-  let last_send : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  Log.iter log (fun e ->
-      let node = Node_id.to_int e.Event.node in
-      match e.Event.kind with
-      | Event.Propose -> (
-          match e.Event.instance with
-          | None -> ()
-          | Some view ->
-              if not (Node_set.Tbl.mem proposed view) then
-                Node_set.Tbl.replace proposed view e.Event.time;
-              Hashtbl.replace (chain view) node e.Event.time)
-      | Event.Round _ -> (
-          match e.Event.instance with
-          | None -> ()
-          | Some view ->
-              let nodes = chain view in
-              (match Hashtbl.find_opt nodes node with
-              | Some prev -> Hist.add t.round_latency (e.Event.time -. prev)
-              | None -> ());
-              Hashtbl.replace nodes node e.Event.time)
-      | Event.Decide -> (
-          match e.Event.instance with
-          | None -> ()
-          | Some view -> (
-              match Node_set.Tbl.find_opt proposed view with
-              | Some start -> Hist.add t.decide_latency (e.Event.time -. start)
-              | None -> ()))
-      | Event.Send { dst; _ } ->
-          Hashtbl.replace last_send (node, Node_id.to_int dst) e.Event.time
-      | Event.Retransmit { dst; _ } -> (
-          match Hashtbl.find_opt last_send (node, Node_id.to_int dst) with
-          | Some sent -> Hist.add t.retransmit_delay (e.Event.time -. sent)
-          | None -> ())
-      | Event.Suspect _ -> (
-          match e.Event.parent with
-          | None -> ()
-          | Some p -> (
-              match Log.find log p with
-              | Some { Event.kind = Event.Crash; time; _ } ->
-                  Hist.add t.fd_lag (e.Event.time -. time)
-              | Some _ | None -> ()))
-      | Event.Crash | Event.Deliver _ | Event.Stall _ | Event.Reject
-      | Event.Abort | Event.Early_outcome _ ->
-          ());
+  let last_send : int Node_id.Tbl.t Node_id.Tbl.t = Node_id.Tbl.create 16 in
+  (* Sends not yet filed in [last_send], newest first: the table is
+     filled only when a [Retransmit] reads it, so a log without one
+     (every run off the ARQ) builds no per-sender rows. *)
+  let unfiled = ref [] in
+  let file_sends () =
+    List.iter
+      (fun (src, dst, seq) -> Node_id.Tbl.replace (Node_id.row last_send src) dst seq)
+      (List.rev !unfiled);
+    unfiled := []
+  in
+  for seq = 0 to Log.length log - 1 do
+    match Log.kind log seq with
+    | Event.Propose -> (
+        match Log.instance log seq with
+        | None -> ()
+        | Some view ->
+            if not (Node_set.Tbl.mem proposed view) then
+              Node_set.Tbl.replace proposed view seq;
+            Node_id.Tbl.replace (chain view) (Log.node log seq) seq)
+    | Event.Round _ -> (
+        match Log.instance log seq with
+        | None -> ()
+        | Some view ->
+            let nodes = chain view and node = Log.node log seq in
+            (match Node_id.Tbl.find_opt nodes node with
+            | Some prev -> Hist.add t.round_latency (since prev seq)
+            | None -> ());
+            Node_id.Tbl.replace nodes node seq)
+    | Event.Decide -> (
+        match Log.instance log seq with
+        | None -> ()
+        | Some view -> (
+            match Node_set.Tbl.find_opt proposed view with
+            | Some start -> Hist.add t.decide_latency (since start seq)
+            | None -> ()))
+    | Event.Send { dst; _ } -> unfiled := (Log.node log seq, dst, seq) :: !unfiled
+    | Event.Retransmit { dst; _ } -> (
+        file_sends ();
+        match Node_id.Tbl.find_opt last_send (Log.node log seq) with
+        | Some row -> (
+            match Node_id.Tbl.find_opt row dst with
+            | Some sent -> Hist.add t.retransmit_delay (since sent seq)
+            | None -> ())
+        | None -> ())
+    | Event.Suspect _ -> (
+        match Log.parent log seq with
+        | None -> ()
+        | Some p -> (
+            match Log.kind log p with
+            | Event.Crash -> Hist.add t.fd_lag (since p seq)
+            | _ -> ()))
+    | Event.Crash | Event.Deliver _ | Event.Stall _ | Event.Reject | Event.Abort
+    | Event.Early_outcome _ ->
+        ()
+  done;
   t
 
 let to_json t =

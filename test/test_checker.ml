@@ -5,6 +5,9 @@
 open Cliffedge_graph
 module Runner = Cliffedge.Runner
 module Checker = Cliffedge.Checker
+module Scenario = Cliffedge.Scenario
+module Prng = Cliffedge_prng.Prng
+module Obs = Cliffedge_obs
 
 let set = Node_set.of_ints
 
@@ -99,6 +102,89 @@ let test_cd3_faraway_message () =
   Cliffedge_net.Stats.record_send stats ~src:(n 0) ~dst:(n 6) ~units:1;
   let report = Checker.check (make_outcome ~stats ()) in
   Alcotest.(check bool) "cd3 fires" true (has_violation report Checker.CD3_locality)
+
+(* A CD3 violation cites the first [Send] of its pair.  The runs are
+   X13's: ring:32, the real region {10, 11} crashed at t = 10, and k
+   false suspicions of correct neighbours, drawn as X13 draws them, over
+   30 seeds.  With k = 1 each seed yields one CD3 violation; with k = 8
+   there are 227, and 8 of their pairs carry more than one send, so
+   citing any later send of the pair fails here.  Each citation must be
+   the earliest [Send] from its source to its destination in the log. *)
+let x13_run ~k seed =
+  let graph = Topology.ring 32 in
+  let region = set [ 10; 11 ] in
+  let correct =
+    List.filter
+      (fun p -> not (Node_set.mem p region))
+      (Node_set.elements (Graph.nodes graph))
+  in
+  let rng = Prng.create (13_000 + seed) in
+  let false_suspicions =
+    List.init k (fun _ ->
+        let observer = Prng.choose rng correct in
+        let target =
+          match
+            Node_set.elements (Node_set.diff (Graph.neighbours graph observer) region)
+          with
+          | [] -> observer
+          | neighbours -> Prng.choose rng neighbours
+        in
+        (5.0 +. Prng.float rng 80.0, observer, target))
+  in
+  let options = { Runner.default_options with seed; false_suspicions } in
+  let crashes = List.map (fun p -> (10.0, p)) (Node_set.elements region) in
+  Runner.run ~options ~graph ~crashes ~propose_value:Scenario.default_propose ()
+
+let test_cd3_cites_first_send () =
+  let check_row ~k ~expected =
+    let cited = ref 0 and resent = ref 0 in
+    for seed = 0 to 29 do
+      let outcome = x13_run ~k seed in
+      let log = outcome.Runner.obs in
+      let sends_of src dst =
+        let seqs = ref [] in
+        Obs.Log.iter log (fun e ->
+            match e.Obs.Event.kind with
+            | Obs.Event.Send { dst = d; _ }
+              when Node_id.equal e.Obs.Event.node src && Node_id.equal d dst ->
+                seqs := e.Obs.Event.seq :: !seqs
+            | _ -> ());
+        List.rev !seqs
+      in
+      List.iter
+        (fun v ->
+          if v.Checker.property = Checker.CD3_locality then begin
+            incr cited;
+            match v.Checker.events with
+            | [ seq ] -> (
+                match Obs.Log.find log seq with
+                | Some { Obs.Event.node = src; kind = Obs.Event.Send { dst; _ }; _ } ->
+                    let sends = sends_of src dst in
+                    if List.length sends > 1 then incr resent;
+                    Alcotest.(check (option int)) "first send of the pair"
+                      (List.nth_opt sends 0) (Some seq);
+                    Alcotest.(check string) "description names the pair"
+                      (Format.asprintf
+                         "message %a -> %a outside every faulty domain's envelope"
+                         Node_id.pp src Node_id.pp dst)
+                      v.Checker.description
+                | Some e ->
+                    Alcotest.failf "k=%d seed %d: CD3 cites a non-send: %a" k seed
+                      Obs.Event.pp e
+                | None -> Alcotest.failf "k=%d seed %d: CD3 cites missing #%d" k seed seq)
+            | events ->
+                Alcotest.failf "k=%d seed %d: CD3 cites %d events, expected one" k seed
+                  (List.length events)
+          end)
+        (Checker.check ~value_equal:String.equal outcome).Checker.violations
+    done;
+    Alcotest.(check int) (Printf.sprintf "CD3 violations with k=%d" k) expected !cited;
+    !resent
+  in
+  ignore (check_row ~k:1 ~expected:30);
+  Alcotest.(check int)
+    "k=8 pairs with more than one send" 8
+    (check_row ~k:8 ~expected:227)
 
 let test_cd4_missing_peer_decision () =
   let decisions =
@@ -213,6 +299,7 @@ let suite =
       Alcotest.test_case "cd2 not border" `Quick test_cd2_not_border;
       Alcotest.test_case "cd2 disconnected" `Quick test_cd2_disconnected_view;
       Alcotest.test_case "cd3 faraway message" `Quick test_cd3_faraway_message;
+      Alcotest.test_case "cd3 cites the first send" `Quick test_cd3_cites_first_send;
       Alcotest.test_case "cd4 missing decision" `Quick test_cd4_missing_peer_decision;
       Alcotest.test_case "cd5 value disagreement" `Quick test_cd5_value_disagreement;
       Alcotest.test_case "cd5 view disagreement" `Quick test_cd5_view_disagreement;

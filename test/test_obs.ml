@@ -64,6 +64,116 @@ let test_context_restored () =
    with Failure _ -> ());
   Alcotest.(check (option int)) "restored on raise" None (Obs.Log.context log)
 
+(* Log growth allocates young: segments are at most 256 words and the
+   directories' filler is a static atom, so [Array.make] never has a
+   young filler to promote.  The 4 096 events and their boxed times and
+   parents are ~42k words, well inside the default 256k-word minor
+   heap, so any minor collection here would be one the log forced. *)
+let test_log_growth_no_minor_gc () =
+  let log = Obs.Log.create () in
+  let kind = Obs.Event.Send { dst = n 1; units = 1 } in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for i = 0 to 4095 do
+    let parent = if i > 0 then Some (i - 1) else None in
+    ignore (Obs.Log.record log ~time:(float_of_int i) ~node:(n 0) ?parent kind)
+  done;
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "events" 4096 (Obs.Log.length log);
+  Alcotest.(check int) "minor collections" 0 (after - before)
+
+(* Random records read back identically through every reader: all
+   twelve kinds, with and without instance and parent, ids and payloads
+   up to [max_int - 1], and logs long enough to cross many 32-event
+   segments and the directories' doublings. *)
+let gen_big =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range 0 40; int_range (max_int - 40) (max_int - 1); int_range 0 (max_int - 1);
+      ])
+
+let gen_kind =
+  let open QCheck2.Gen in
+  let id = map n gen_big in
+  oneof
+    [
+      return Obs.Event.Crash;
+      map (fun target -> Obs.Event.Suspect { target }) id;
+      map2 (fun dst units -> Obs.Event.Send { dst; units }) id gen_big;
+      map (fun src -> Obs.Event.Deliver { src }) id;
+      map3
+        (fun dst attempt frames -> Obs.Event.Retransmit { dst; attempt; frames })
+        id gen_big gen_big;
+      map (fun dst -> Obs.Event.Stall { dst }) id;
+      return Obs.Event.Propose;
+      return Obs.Event.Reject;
+      map (fun round -> Obs.Event.Round { round }) gen_big;
+      return Obs.Event.Abort;
+      map (fun success -> Obs.Event.Early_outcome { success }) bool;
+      return Obs.Event.Decide;
+    ]
+
+(* (time, node, instance, parent draw, kind); the parent draw becomes a
+   parent below the event's own seq when the log is built. *)
+let gen_record =
+  QCheck2.Gen.(
+    tup5
+      (map (fun f -> if Float.is_nan f then 0.0 else f) float)
+      (map n gen_big)
+      (opt (map Node_set.of_ints (list_size (int_range 0 4) gen_big)))
+      (opt nat) gen_kind)
+
+let same_event (a : Obs.Event.t) (b : Obs.Event.t) =
+  Int.equal a.seq b.seq
+  && Int64.equal (Int64.bits_of_float a.time) (Int64.bits_of_float b.time)
+  && Node_id.equal a.node b.node
+  && Option.equal Node_set.equal a.instance b.instance
+  && Option.equal Int.equal a.parent b.parent
+  && a.kind = b.kind
+
+let check_log_roundtrip records =
+  let log = Obs.Log.create () in
+  let expected =
+    List.mapi
+      (fun seq (time, node, instance, draw, kind) ->
+        let parent =
+          match draw with Some d when seq > 0 -> Some (d mod seq) | _ -> None
+        in
+        let got = Obs.Log.record log ~time ~node ?instance ?parent kind in
+        if not (Int.equal got seq) then
+          QCheck2.Test.fail_reportf "record #%d returned %d" seq got;
+        { Obs.Event.seq; time; node; instance; parent; kind })
+      records
+  in
+  let fail_at how (e : Obs.Event.t) =
+    QCheck2.Test.fail_reportf "%s: event #%d reads back as something else: expected %a"
+      how e.seq Obs.Event.pp e
+  in
+  let len = List.length expected in
+  if not (Int.equal (Obs.Log.length log) len) then
+    QCheck2.Test.fail_reportf "length %d, expected %d" (Obs.Log.length log) len;
+  List.iter2
+    (fun e got -> if not (same_event e got) then fail_at "to_list" e)
+    expected (Obs.Log.to_list log);
+  let iterated = ref [] in
+  Obs.Log.iter log (fun e -> iterated := e :: !iterated);
+  List.iter2
+    (fun e got -> if not (same_event e got) then fail_at "iter" e)
+    expected (List.rev !iterated);
+  List.iter
+    (fun (e : Obs.Event.t) ->
+      match Obs.Log.find log e.seq with
+      | Some got when same_event e got -> ()
+      | Some _ | None -> fail_at "find" e)
+    expected;
+  Obs.Log.find log (-1) = None && Obs.Log.find log len = None
+
+let prop_log_roundtrip =
+  QCheck2.Test.make ~name:"log reads back what it recorded" ~count:40
+    QCheck2.Gen.(list_size (int_range 0 4200) gen_record)
+    check_log_roundtrip
+
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
 
@@ -323,6 +433,9 @@ let suite =
       Alcotest.test_case "log records and finds" `Quick test_log_records_and_finds;
       Alcotest.test_case "log rejects bad records" `Quick test_log_rejects_bad_records;
       Alcotest.test_case "context restored" `Quick test_context_restored;
+      Alcotest.test_case "log growth forces no minor collection" `Quick
+        test_log_growth_no_minor_gc;
+      QCheck_alcotest.to_alcotest prop_log_roundtrip;
       Alcotest.test_case "hist bucketing" `Quick test_hist_bucketing;
       Alcotest.test_case "hist open bucket" `Quick test_hist_open_bucket;
       Alcotest.test_case "hist json" `Quick test_hist_json;
