@@ -39,8 +39,8 @@ let usage () =
     "  check-trace FILE  validate a Chrome trace_event file written by \
      cliffedge-cli trace --format chrome";
   print_endline
-    "  alloc  dynamic zero-alloc assertions: Gc.minor_words per op for \
-     every [@lint.hot_path] entry, against its measured budget";
+    "  alloc  allocation budgets: Gc.minor_words per op of each \
+     steady-state path, against its quoted budget";
   print_endline
     "  compare OLD.json NEW.json [--threshold PCT] [--alloc-threshold PCT]";
   print_endline
@@ -171,12 +171,11 @@ let compare_files ~threshold ~alloc_threshold baseline candidate =
         Printf.eprintf "bench: %s has no micro section\n" file;
         exit 1
   in
-  (* The alloc_cert section (per-hot-path-entry Gc.minor_words deltas
-     from `bench alloc`) ratchets like the micro allocation counters
-     when both files carry it; baselines that predate the section
-     simply skip it, and a baseline row the candidate lacks is noted
-     like a missing micro row, so a deleted or renamed exemption leaves
-     a trace. *)
+  (* The alloc_cert section (per-row Gc.minor_words deltas from
+     `bench alloc`) ratchets like the micro allocation counters when
+     both files carry it; baselines that predate the section simply
+     skip it, and a baseline row the candidate lacks is noted like a
+     missing micro row, so a deleted or renamed row leaves a trace. *)
   let alloc_cert root =
     match Json.member "alloc_cert" root with
     | Some (Json.Obj fields) -> fields

@@ -62,7 +62,7 @@ module Vector = struct
      [ref]-based loop heap-allocates its cells and a nested [let rec]
      allocates a closure per call): this is the delivery path's inner
      lookup. *)
-  let[@lint.hot_path] rec find_ix_go ks k lo hi =
+  let rec find_ix_go ks k lo hi =
     if lo > hi then -1
     else
       let mid = (lo + hi) / 2 in
@@ -71,18 +71,18 @@ module Vector = struct
       else if km < k then find_ix_go ks k (mid + 1) hi
       else find_ix_go ks k lo (mid - 1)
 
-  let[@lint.hot_path] find_ix ks p = find_ix_go ks (Node_id.to_int p) 0 (Array.length ks - 1)
+  let find_ix ks p = find_ix_go ks (Node_id.to_int p) 0 (Array.length ks - 1)
 
   let get t p =
     let i = find_ix t.ks p in
     if i < 0 then None else Some t.vs.(i)
 
-  let[@lint.hot_path] mem t p = find_ix t.ks p >= 0
+  let mem t p = find_ix t.ks p >= 0
 
   (* First pass of [merge]: count the keys [incoming] adds.  Top-level
      recursive with index arguments for the same no-flambda reason as
      [find_ix_go]. *)
-  let[@lint.hot_path] rec merge_count tks iks n m i j fresh =
+  let rec merge_count tks iks n m i j fresh =
     if j >= m then fresh
     else
       let k = Node_id.to_int (Array.unsafe_get iks j) in
@@ -112,13 +112,13 @@ module Vector = struct
       merge_fill t incoming n m ks vs i (j + 1) (o + 1)
     end
 
-  (* Measured exemption: the no-change paths (already-known singleton,
-     [fresh = 0]) return [t] physically and allocate nothing — `bench
-     alloc` pins them at 0 minor words/op; the fresh-key branch
-     allocates the two literal arrays and the record (~3 words per
-     fresh opinion plus 6 fixed), bounded by the border size and paid
-     only on first sight of a vote. *)
-  let[@lint.hot_path] [@lint.allow "hot-path-alloc"] merge t ~incoming =
+  (* The no-change paths (already-known singleton, [fresh = 0]) return
+     [t] physically and allocate nothing: `bench alloc`'s "opinion
+     vector merge (no-change)" row holds them at 0 minor words/op.  The
+     fresh-key branch allocates the two literal arrays and the record
+     (~3 words per fresh opinion plus 6 fixed), bounded by the border
+     size and paid only on first sight of a vote. *)
+  let merge t ~incoming =
     let n = Array.length t.ks and m = Array.length incoming.ks in
     if m = 0 then t
     else if n = 0 then incoming
@@ -167,14 +167,14 @@ module Vector = struct
   (* Specialised to a set argument (rather than a predicate closure) so
      the delivery fast path allocates nothing while deciding whether an
      excusal rebuild is needed at all. *)
-  let[@lint.hot_path] rec rejector_in_go ks vs n set i =
+  let rec rejector_in_go ks vs n set i =
     i < n
     && ((match Array.unsafe_get vs i with
         | Reject -> Node_set.mem (Array.unsafe_get ks i) set
         | Accept _ -> false)
        || rejector_in_go ks vs n set (i + 1))
 
-  let[@lint.hot_path] rejector_in t set = rejector_in_go t.ks t.vs (Array.length t.ks) set 0
+  let rejector_in t set = rejector_in_go t.ks t.vs (Array.length t.ks) set 0
 
   let rejectors t =
     let acc = ref Node_set.empty in

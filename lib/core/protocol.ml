@@ -94,7 +94,7 @@ let init ~self =
    [lnot insertion_point] (negative).  Recursive with accumulator
    arguments: without flambda a [ref]-based loop heap-allocates its
    cells, and this runs on every delivery. *)
-let[@lint.hot_path] rec view_ix_go arr v lo hi =
+let rec view_ix_go arr v lo hi =
   if lo > hi then lnot lo
   else
     let mid = (lo + hi) / 2 in
@@ -103,7 +103,7 @@ let[@lint.hot_path] rec view_ix_go arr v lo hi =
     else if c < 0 then view_ix_go arr v (mid + 1) hi
     else view_ix_go arr v lo (mid - 1)
 
-let[@lint.hot_path] view_ix arr v = view_ix_go arr v 0 (Array.length arr - 1)
+let view_ix arr v = view_ix_go arr v 0 (Array.length arr - 1)
 
 let insert_at arr i v =
   (* Small cases as literals for the same reason as [set_at] below: a
@@ -149,7 +149,7 @@ let set_at arr i v =
       out.(i) <- v;
       out
 
-let[@lint.hot_path] rejected_mem st view = view_ix st.rejected view >= 0
+let rejected_mem st view = view_ix st.rejected view >= 0
 
 let rejected_add rejected view =
   let i = view_ix rejected view in
@@ -346,7 +346,7 @@ let deliver_round cfg st ~src ~round ~view ~opinions =
    once [decided] is set (rejections recreate their instance from the
    graph on demand), so the bookkeeping is dead weight — see
    DESIGN.md "Flat state" for the action-safety argument. *)
-let[@lint.decide_guard] [@lint.cold] decide cfg st ~view accepts =
+let[@lint.decide_guard] decide cfg st ~view accepts =
   match st.decided with
   | Some _ -> (st, [])
   | None ->
@@ -376,13 +376,13 @@ let deliver_outcome cfg st ~view ~border ~opinions =
       then ({ st with proposed = None }, [ Note (Attempt_failed view) ])
       else (st, [])
 
-(* Measured exemption: Deliver IS the state-update path, so the
-   update branches allocate the persistent records they hand back —
-   what the certificate buys is a bound, not zero: the stale-message
-   fast path is one result tuple (3 words, pinned by `bench alloc`),
-   and the full transition sits strictly below the BENCH_PR7 ratchet
-   (30.168 minor words/run) via `bench compare`. *)
-let[@lint.hot_path] [@lint.allow "hot-path-alloc"] deliver cfg st ~src msg =
+(* Deliver is the state-update path, so the update branches allocate
+   the persistent records they hand back; what is bounded is the cost,
+   not zero.  `bench alloc` holds a stale retransmission at one result
+   tuple (3 words, "protocol deliver (stale retransmission)") and a
+   merge into a live instance at 42 words ("protocol deliver (merge,
+   guards stable)"). *)
+let deliver cfg st ~src msg =
   let view = Message.view msg in
   if rejected_mem st view then (st, [])
   else
@@ -582,7 +582,7 @@ let on_crash cfg st q =
    fires.  Termination: each firing either consumes the candidate view,
    removes an instance from [received], advances the bounded round
    counter, or finishes the instance. *)
-let[@lint.cold] rec stabilize cfg st acc =
+let rec stabilize cfg st acc =
   match guard_new_instance cfg st with
   | Some (st, acts) -> stabilize cfg st (acc @ acts)
   | None -> (
@@ -601,7 +601,7 @@ let[@lint.cold] rec stabilize cfg st acc =
    candidate), they were stable before and still are; only round
    completion (which also reads instance contents and
    [locally_crashed]) needs a re-check. *)
-let[@lint.hot_path] scan_inputs_unchanged st0 st =
+let scan_inputs_unchanged st0 st =
   st0.views == st.views
   && st0.rejected == st.rejected
   && st0.proposed == st.proposed

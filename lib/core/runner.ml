@@ -282,9 +282,13 @@ let decided_views outcome =
     [] outcome.decisions
   |> List.rev
 
+(* Through the field reader: [Obs.Log.iter] would build a whole
+   [Event.t] per event to read its kind. *)
 let fold_log outcome f init =
   let acc = ref init in
-  Obs.Log.iter outcome.obs (fun e -> acc := f !acc e.Obs.Event.kind);
+  for seq = 0 to Obs.Log.length outcome.obs - 1 do
+    acc := f !acc (Obs.Log.kind outcome.obs seq)
+  done;
   !acc
 
 let restart_count outcome =

@@ -61,7 +61,7 @@ let is_crashed t p = Node_id.Tbl.mem t.crashed p
 
 (* Rare by construction: latency sampling, an engine closure and float
    arithmetic, paid once per (observer, crash) pair. *)
-let[@lint.cold] schedule_notification t ~observer ~target =
+let schedule_notification t ~observer ~target =
   let delay = Latency.sample t.latency t.rng in
   (* Channel consistency: never notify before the crashed node's
      in-flight messages to the observer have landed. *)
@@ -80,12 +80,13 @@ let[@lint.cold] schedule_notification t ~observer ~target =
            | Some handler -> handler ~observer ~crashed:target
            | None -> failwith "Failure_detector: no notification handler installed"))
 
-(* Measured exemption: steady-state re-registration (every target
-   already subscribed) is the per-round case and allocates nothing —
-   [diff] returns the static empty set, [remove] and [is_empty] return
-   physically — pinned at 0 minor words/op by `bench alloc`; first
-   registration pays the set copies once per topology edge. *)
-let[@lint.hot_path] [@lint.allow "hot-path-alloc"] monitor t ~observer ~targets =
+(* Steady-state re-registration (every target already subscribed) is
+   the per-round case and allocates nothing: [diff] returns the static
+   empty set, [remove] and [is_empty] return physically.  `bench
+   alloc`'s "failure detector monitor (steady-state)" row holds it at 0
+   minor words/op; first registration pays the set copies once per
+   topology edge. *)
+let monitor t ~observer ~targets =
   let subscribed = subscribed t observer in
   (* Word-parallel dedup: one [diff] finds the genuinely new targets
      (minus self), one [union] registers them, and only those are

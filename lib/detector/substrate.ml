@@ -17,8 +17,8 @@ type 'a item = { cause : int; payload : 'a }
    provenance, so the causal log still records every logical
    send/delivery individually.  A bare list rather than a record
    wrapper: the unbatched case builds one envelope per protocol send,
-   and the hot-path-alloc audit priced the wrapper at 2 needless minor
-   words on every delivery the simulator makes. *)
+   and a wrapper would add 2 minor words to every delivery the
+   simulator makes (`bench alloc`'s substrate rows). *)
 type 'a envelope = 'a item list
 
 type 'a conduit =
@@ -168,7 +168,8 @@ let batched t f =
 
 (* One [Deliver] event per logical send the envelope carries, each
    parented on its own [Send]: batching is invisible to the causal log's
-   structure.  A recursive walk, not [List.iter], so delivering an
+   structure.  A recursive walk, not [List.iter], and the cursor saved
+   and restored in place rather than through a thunk, so delivering an
    envelope allocates no closure. *)
 let rec deliver_items t handler ~src ~dst = function
   | [] -> ()
@@ -177,7 +178,13 @@ let rec deliver_items t handler ~src ~dst = function
         Obs.Log.record t.obs ~time:(Engine.now t.engine) ~node:dst ~parent:item.cause
           (Obs.Event.Deliver { src })
       in
-      Obs.Log.with_context t.obs seq (fun () -> handler ~src ~dst item.payload);
+      let saved = Obs.Log.context t.obs in
+      Obs.Log.set_context t.obs (Some seq);
+      (match handler ~src ~dst item.payload with
+      | () -> Obs.Log.set_context t.obs saved
+      | exception e ->
+          Obs.Log.set_context t.obs saved;
+          raise e);
       deliver_items t handler ~src ~dst rest
 
 let on_deliver t handler =
@@ -193,7 +200,13 @@ let on_crash_notification t handler =
         Obs.Log.record t.obs ~time:(Engine.now t.engine) ~node:observer ?parent
           (Obs.Event.Suspect { target = crashed })
       in
-      Obs.Log.with_context t.obs seq (fun () -> handler ~observer ~crashed))
+      let saved = Obs.Log.context t.obs in
+      Obs.Log.set_context t.obs (Some seq);
+      match handler ~observer ~crashed with
+      | () -> Obs.Log.set_context t.obs saved
+      | exception e ->
+          Obs.Log.set_context t.obs saved;
+          raise e)
 
 let before_crash t handler = t.crash_hook <- handler
 

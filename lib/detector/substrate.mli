@@ -21,9 +21,11 @@
     sequence id so each [Deliver] names its exact causal parent even
     under loss, duplication and reordering, fault injections record
     [Crash] events, and {!on_crash_notification} parents each
-    [Suspect] on the [Crash] it detects.  Handlers run inside
-    {!Cliffedge_obs.Log.with_context}, which is what threads causality
-    into the protocol layer without touching handler signatures. *)
+    [Suspect] on the [Crash] it detects.  Handlers run with the log's
+    cursor ({!Cliffedge_obs.Log.context}) on their [Deliver] or
+    [Suspect] event, restored afterwards even when the handler raises,
+    which is what threads causality into the protocol layer without
+    touching handler signatures. *)
 
 open Cliffedge_graph
 

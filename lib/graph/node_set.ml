@@ -56,7 +56,7 @@ let bits_above b x = if b >= word_bits - 1 then 0 else (x lsr (b + 1)) lsl (b + 
 
 (* Slot of word index [w] in [t], or -1.  Binary search over the pairs
    [lo, hi]; top-level recursion, so the probe allocates nothing. *)
-let[@lint.hot_path] rec find_go t w lo hi =
+let rec find_go t w lo hi =
   if lo > hi then -1
   else
     let mid = (lo + hi) lsr 1 in
@@ -65,7 +65,7 @@ let[@lint.hot_path] rec find_go t w lo hi =
     else if m < w then find_go t w (mid + 1) hi
     else find_go t w lo (mid - 1)
 
-let[@lint.hot_path] find t w = find_go t w 0 ((Array.length t lsr 1) - 1)
+let find t w = find_go t w 0 ((Array.length t lsr 1) - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Membership                                                          *)
@@ -73,7 +73,7 @@ let[@lint.hot_path] find t w = find_go t w 0 ((Array.length t lsr 1) - 1)
 (* Sets of one or two pairs, which cover 63 or 126 consecutive ids and
    so nearly every set of the benchmark topologies' hot paths, get
    answered without a search. *)
-let[@lint.hot_path] mem x t =
+let mem x t =
   let i = Node_id.to_int x in
   let w = i / word_bits and len = Array.length t in
   let s =
@@ -95,7 +95,7 @@ let singleton x =
    allocates its closure on every call without flambda, and these run
    on the protocol's delivery path.  Each walks the two pair lists in
    step, like a sorted-list merge. *)
-let[@lint.hot_path] rec disjoint_go a b la lb i j =
+let rec disjoint_go a b la lb i j =
   i >= la
   || j >= lb
   ||
@@ -106,10 +106,10 @@ let[@lint.hot_path] rec disjoint_go a b la lb i j =
   else if ia < ib then disjoint_go a b la lb (i + 2) j
   else disjoint_go a b la lb i (j + 2)
 
-let[@lint.hot_path] disjoint a b =
+let disjoint a b =
   disjoint_go a b (Array.length a) (Array.length b) 0 0
 
-let[@lint.hot_path] rec subset_go a b la lb i j =
+let rec subset_go a b la lb i j =
   i >= la
   || (j < lb
      &&
@@ -121,7 +121,7 @@ let[@lint.hot_path] rec subset_go a b la lb i j =
 
 (* Every non-zero word of a subset is a non-zero word of the superset,
    so a subset never has more pairs. *)
-let[@lint.hot_path] subset a b =
+let subset a b =
   let la = Array.length a and lb = Array.length b in
   la <= lb && subset_go a b la lb 0 0
 
@@ -129,10 +129,10 @@ let[@lint.hot_path] subset a b =
    Monomorphic loop rather than polymorphic [=]: the generic comparator
    is a C call that re-discovers the array shape on every invocation,
    and [equal] sits on the reject-scan and instance-lookup paths. *)
-let[@lint.hot_path] rec equal_go a b i =
+let rec equal_go a b i =
   i < 0 || (Int.equal (Array.unsafe_get a i) (Array.unsafe_get b i) && equal_go a b (i - 1))
 
-let[@lint.hot_path] equal a b =
+let equal a b =
   a == b
   || (Int.equal (Array.length a) (Array.length b) && equal_go a b (Array.length a - 1))
 
@@ -145,7 +145,7 @@ let[@lint.hot_path] equal a b =
    that position), and [a > b] iff it does not (then [b] is a strict
    prefix of [a]).  A pair only one side has at slot [i] holds [m], and
    the other side's next pair lies above it. *)
-let[@lint.hot_path] rec compare_go a b la lb i =
+let rec compare_go a b la lb i =
   if i >= la then if i >= lb then 0 else -1
   else if i >= lb then 1
   else
@@ -160,8 +160,9 @@ let[@lint.hot_path] rec compare_go a b la lb i =
         let p = ntz bit in
         let in_a = wa land bit <> 0 in
         (* Branch on [in_a] twice rather than binding an (other_len,
-           other_word) pair: the conditional tuple is a per-call
-           allocation the hot-path-alloc certificate forbids. *)
+           other_word) pair: the conditional tuple would be a per-call
+           allocation, over the 0-word budget of `bench alloc`'s
+           node-set row. *)
         let has_greater =
           if in_a then bits_above p wb <> 0 || lb > i + 2
           else bits_above p wa <> 0 || la > i + 2
@@ -170,7 +171,7 @@ let[@lint.hot_path] rec compare_go a b la lb i =
         else if has_greater then 1
         else -1
 
-let[@lint.hot_path] compare a b =
+let compare a b =
   if a == b then 0 else compare_go a b (Array.length a) (Array.length b) 0
 
 let cardinal t =
@@ -517,13 +518,13 @@ let to_ints t = List.map Node_id.to_int (elements t)
    finalizer (its multipliers taken mod 2^63, which is all a 63-bit
    product sees) spreads every bit of every word over the low bits.
    Top-level recursion keeps the loop allocation-free. *)
-let[@lint.hot_path] rec hash_go t h s =
+let rec hash_go t h s =
   if s >= Array.length t then h
   else
     let h = (h lxor Array.unsafe_get t (s + 1)) * 0x3f58476d1ce4e5b9 in
     hash_go t ((h lxor (h lsr 29)) + Array.unsafe_get t s) (s + 2)
 
-let[@lint.hot_path] hash t =
+let hash t =
   let h = hash_go t 0xcbf29ce4 0 in
   let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
   let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in

@@ -30,9 +30,7 @@ let extra_fields kind =
   | Event.Round { round } -> [ ("round", string_of_int round) ]
   | Event.Early_outcome { success } -> [ ("success", string_of_bool success) ]
 
-(* Trace export runs once per run, after the measured region: a
-   deliberate slow path, cut from hot-path-alloc propagation. *)
-let[@lint.cold] jsonl events =
+let jsonl events =
   let buffer = Buffer.create 4096 in
   List.iter
     (fun e ->
@@ -63,7 +61,7 @@ let[@lint.cold] jsonl events =
    Flow pairs use the child's sequence id as the flow id and are only
    emitted when both endpoints survived filtering. *)
 
-let[@lint.cold] chrome events =
+let chrome events =
   let tids =
     List.sort_uniq Int.compare
       (List.map (fun e -> Node_id.to_int e.Event.node) events)

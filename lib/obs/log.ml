@@ -205,13 +205,6 @@ let iter t f =
 
 let context t = t.context
 
-let with_context t seq f =
-  let saved = t.context in
-  t.context <- Some seq;
-  match f () with
-  | () -> t.context <- saved
-  | exception e ->
-      t.context <- saved;
-      raise e
+let set_context t context = t.context <- context
 
 let pp ppf t = iter t (fun e -> Format.fprintf ppf "%a@." Event.pp e)

@@ -77,9 +77,9 @@ val iter : t -> (Event.t -> unit) -> unit
 val context : t -> int option
 (** The event currently being handled, if any. *)
 
-val with_context : t -> int -> (unit -> unit) -> unit
-(** [with_context t seq f] runs [f] with the cursor set to [seq],
-    restoring the previous cursor afterwards (exceptions included). *)
+val set_context : t -> int option -> unit
+(** Moves the cursor.  A caller that sets it around a handler restores
+    the previous cursor afterwards, also when the handler raises. *)
 
 val pp : Format.formatter -> t -> unit
 (** One {!Event.pp} line per event. *)

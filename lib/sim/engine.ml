@@ -20,9 +20,7 @@ type t = {
   mutable processed : int;
 }
 
-(* Built once at module initialisation; [@lint.cold] tells the
-   allocation certifier that reading it allocates nothing. *)
-let[@lint.cold] vacant = { time = 0.0; seq = -1; action = ignore; pending = false }
+let vacant = { time = 0.0; seq = -1; action = ignore; pending = false }
 
 let create () =
   { heap = [||]; size = 0; clock = 0.0; next_seq = 0; live = 0; processed = 0 }
@@ -31,12 +29,12 @@ let now t = t.clock
 
 (* Times are finite (checked at [schedule_at]), so [not (b.time < a.time)]
    means equal times once [a.time < b.time] has failed. *)
-let[@lint.hot_path] before a b =
+let before a b =
   a.time < b.time || (a.seq < b.seq && not (b.time < a.time))
 
 (* Hole-based sifting: the moving entry is written once, at its final
    slot, instead of being swapped down level by level. *)
-let[@lint.hot_path] rec sift_up heap e i =
+let rec sift_up heap e i =
   if Int.equal i 0 then Array.unsafe_set heap 0 e
   else
     let parent = (i - 1) / 2 in
@@ -47,7 +45,7 @@ let[@lint.hot_path] rec sift_up heap e i =
     end
     else Array.unsafe_set heap i e
 
-let[@lint.hot_path] rec sift_down heap size e i =
+let rec sift_down heap size e i =
   let left = (2 * i) + 1 in
   if left >= size then Array.unsafe_set heap i e
   else
@@ -65,7 +63,7 @@ let[@lint.hot_path] rec sift_down heap size e i =
     else Array.unsafe_set heap i e
 
 (* Removes and returns the earliest entry; the heap must be non-empty. *)
-let[@lint.hot_path] pop_min t =
+let pop_min t =
   let heap = t.heap in
   let top = Array.unsafe_get heap 0 in
   let last = t.size - 1 in

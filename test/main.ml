@@ -35,6 +35,5 @@ let () =
       Test_transport.suite;
       Test_obs.suite;
       Test_lint_fixpoint.suite;
-      Test_alloc_certifier.suite;
       Test_differential.suite;
     ]

@@ -350,25 +350,37 @@ let prop_random_bytes_never_crash =
       | Wire.Decode_error _ -> true
       | _ -> false)
 
+(* [s] with [patch] written over it from [pos]. *)
+let overwrite s pos patch =
+  let b = Bytes.of_string s in
+  Bytes.blit_string patch 0 b pos (String.length patch);
+  Bytes.to_string b
+
 (* Property: a decoder that accepts only canonical bytes.  Every
-   one-byte mutation of a valid encoding (a bit flip or a replaced
-   byte) is rejected with [Wire.Decode_error] or decodes to a message
-   whose encoding is the mutated input itself. *)
+   mutation of a valid encoding — a bit flip, a replaced byte, or a span
+   of another valid encoding copied over it (well-formed fields landing
+   where they do not belong) — is rejected with [Wire.Decode_error] or
+   decodes to a message whose encoding is the mutated input itself. *)
 let gen_mutated =
   QCheck2.Gen.(
     let* msg = gen_message in
     let encoded = Codec.encode Codec.string_value msg in
     let* pos = int_bound (String.length encoded - 1) in
-    let* byte =
-      oneof
-        [
-          map (fun bit -> Char.code encoded.[pos] lxor (1 lsl bit)) (int_bound 7);
-          int_bound 255;
-        ]
+    let byte gen = map (fun b -> overwrite encoded pos (String.make 1 (Char.chr b))) gen in
+    let splice =
+      let* donor = map (Codec.encode Codec.string_value) gen_message in
+      let* from = int_bound (String.length donor - 1) in
+      let+ len =
+        int_range 1 (Int.min (String.length donor - from) (String.length encoded - pos))
+      in
+      overwrite encoded pos (String.sub donor from len)
     in
-    let mutated = Bytes.of_string encoded in
-    Bytes.set mutated pos (Char.chr byte);
-    return (Bytes.to_string mutated))
+    oneof
+      [
+        byte (map (fun bit -> Char.code encoded.[pos] lxor (1 lsl bit)) (int_bound 7));
+        byte (int_bound 255);
+        splice;
+      ])
 
 let prop_mutations_canonical =
   QCheck2.Test.make ~name:"decoder accepts only canonical mutations" ~count:2000

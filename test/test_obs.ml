@@ -15,6 +15,9 @@ module Stats = Cliffedge_net.Stats
 module Transport = Cliffedge_net.Transport
 module Faults = Cliffedge_net.Faults
 module Json = Cliffedge_report.Json
+module Latency = Cliffedge_net.Latency
+module Substrate = Cliffedge_detector.Substrate
+module Failure_detector = Cliffedge_detector.Failure_detector
 
 let n = Node_id.of_int
 
@@ -52,17 +55,46 @@ let test_log_rejects_bad_records () =
     (Invalid_argument "Obs.Log.record: causal parent must be an already-recorded event") (fun () ->
       ignore (Obs.Log.record log ~time:1.0 ~node:(n 0) ~parent:0 Obs.Event.Crash))
 
+(* The substrate points the log's cursor at each [Deliver] and
+   [Suspect] event while its handler runs, and restores the previous
+   cursor afterwards, also when the handler raises out of
+   [Substrate.run]. *)
 let test_context_restored () =
-  let log = Obs.Log.create () in
-  let a = Obs.Log.record log ~time:1.0 ~node:(n 0) Obs.Event.Crash in
-  Alcotest.(check (option int)) "idle" None (Obs.Log.context log);
-  Obs.Log.with_context log a (fun () ->
-      Alcotest.(check (option int)) "inside" (Some a) (Obs.Log.context log));
-  Alcotest.(check (option int)) "restored" None (Obs.Log.context log);
-  (try
-     Obs.Log.with_context log a (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check (option int)) "restored on raise" None (Obs.Log.context log)
+  let latency = Latency.Constant 1.0 in
+  let sub =
+    Substrate.create ~seed:1 ~message_latency:latency ~detection_latency:latency
+      ~channel_consistent_fd:true ()
+  in
+  let log = sub.Substrate.obs in
+  let cursor () = Obs.Log.context log in
+  (* The cursor seen inside the last handler, and the event just
+     recorded then, which is the one being handled. *)
+  let inside = ref (None, -1) in
+  let handle raises =
+    inside := (cursor (), Obs.Log.length log - 1);
+    if raises then failwith "boom"
+  in
+  (* Runs the engine until it drains or a handler raises; a handler
+     must have run, with the cursor on its event. *)
+  let run what =
+    inside := (None, -1);
+    (try Substrate.run ~max_events:100 sub with Failure _ -> ());
+    let seen, seq = !inside in
+    Alcotest.(check (option int)) what (Some seq) seen
+  in
+  Substrate.on_deliver sub (fun ~src:_ ~dst:_ raises -> handle raises);
+  Substrate.on_crash_notification sub (fun ~observer:_ ~crashed:_ -> handle true);
+  Alcotest.(check (option int)) "idle" None (cursor ());
+  Substrate.send sub ~src:(n 0) ~dst:(n 1) false;
+  run "inside a delivery";
+  Alcotest.(check (option int)) "restored" None (cursor ());
+  Substrate.send sub ~src:(n 0) ~dst:(n 1) true;
+  run "inside a raising delivery";
+  Alcotest.(check (option int)) "restored on raise" None (cursor ());
+  Failure_detector.monitor sub.detector ~observer:(n 1) ~targets:(Node_set.of_ints [ 2 ]);
+  Substrate.schedule_crashes sub [ (10.0, n 2) ];
+  run "inside a raising suspicion";
+  Alcotest.(check (option int)) "restored after a suspicion" None (cursor ())
 
 (* Log growth allocates young: segments are at most 256 words and the
    directories' filler is a static atom, so [Array.make] never has a

@@ -35,7 +35,6 @@ type fn = {
   file : Rule.source_file;
   loc : Location.t;  (** whole-binding span *)
   body : expression;
-  attrs : attributes;  (** the binding's [[@...]] attributes *)
   mutable calls : call list;
 }
 
@@ -86,7 +85,6 @@ let collect_file (g : t) order (file : Rule.source_file) =
                       file;
                       loc = vb.pvb_loc;
                       body = vb.pvb_expr;
-                      attrs = vb.pvb_attributes;
                       calls = [];
                     };
                   order := id :: !order;

@@ -21,8 +21,6 @@ type fn = {
   file : Rule.source_file;
   loc : Ppxlib.Location.t;  (** whole-binding span *)
   body : Ppxlib.expression;
-  attrs : Ppxlib.attributes;
-      (** the binding's attributes, e.g. [[@lint.hot_path]] *)
   mutable calls : call list;  (** identifier occurrences, source order *)
 }
 

@@ -18,7 +18,6 @@ let registry : Rule.t list =
     Rules_send_locality.rule;
     Rules_exn_flow.rule;
     Rules_taint.rule;
-    Rules_alloc.rule;
   ]
 
 (* The meta rule is not in the registry (it runs inside the allow pass)

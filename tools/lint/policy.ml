@@ -50,10 +50,6 @@ let applies ~rule ~component ~basename =
         String.equal component "lib/codec" || String.equal component "lib/net"
     (* Everything under lib/ must draw entropy through lib/prng. *)
     | "nondet-taint" -> in_lib component && not (String.equal component "lib/prng")
-    (* The hot-path budget's shadow: the Deliver fast path only stays
-       cheap if its certified loops allocate nothing.  Opt-in at the
-       [@lint.hot_path] annotation, enforced tree-wide. *)
-    | "hot-path-alloc" -> true
     | _ -> true
 
 (* ------------------------------------------------------------------ *)
@@ -68,7 +64,6 @@ let scope_doc = function
   | "decide-once" | "send-locality" -> "`lib/core`"
   | "exception-flow" -> "`lib/codec`, `lib/net`"
   | "nondet-taint" -> "`lib/**` but `lib/prng`"
-  | "hot-path-alloc" -> "everywhere (`[@lint.hot_path]` opt-in)"
   | _ -> "everywhere"
 
 let exempt_doc = function
