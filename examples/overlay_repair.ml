@@ -24,7 +24,7 @@ let () =
     List.map (fun p -> (5.0, p)) (Node_set.elements region_a)
     @ List.map (fun p -> (7.0, p)) (Node_set.elements region_b)
   in
-  let outcome = Repair.repair ~strategy:Planner.Ring_splice ~graph ~crashes () in
+  let outcome = Repair.repair ~strategy:Planner.Chain_border ~graph ~crashes () in
   Format.printf "%a@." Repair.pp outcome;
   assert (Cliffedge.Checker.ok outcome.report);
   (* Two independent splices, e.g. 9--14 and 21--25. *)

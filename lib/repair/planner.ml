@@ -2,27 +2,20 @@ open Cliffedge_graph
 
 type strategy =
   | Chain_border
-  | Ring_splice
   | Star_rewire
-
-let chain_border graph view =
-  match Node_set.elements (Graph.border graph view) with
-  | [] | [ _ ] -> Plan.empty
-  | first :: rest ->
-      let rec chain a = function
-        | [] -> []
-        | b :: rest -> (a, b) :: chain b rest
-      in
-      Plan.make (chain first rest)
 
 let plan strategy graph view =
   let border = Graph.border graph view in
   match strategy with
-  | Chain_border -> chain_border graph view
-  | Ring_splice -> (
+  | Chain_border -> (
       match Node_set.elements border with
-      | [ a; b ] -> Plan.make [ (a, b) ]
-      | _ -> chain_border graph view)
+      | [] | [ _ ] -> Plan.empty
+      | first :: rest ->
+          let rec chain a = function
+            | [] -> []
+            | b :: rest -> (a, b) :: chain b rest
+          in
+          Plan.make (chain first rest))
   | Star_rewire -> (
       match Node_set.min_elt_opt border with
       | None -> Plan.empty
@@ -34,13 +27,6 @@ let plan strategy graph view =
 
 let propose strategy graph _self view = plan strategy graph view
 
-let strategy_of_string = function
-  | "chain" -> Ok Chain_border
-  | "splice" -> Ok Ring_splice
-  | "star" -> Ok Star_rewire
-  | other -> Error (Printf.sprintf "unknown repair strategy %S" other)
-
 let pp_strategy ppf = function
   | Chain_border -> Format.pp_print_string ppf "chain"
-  | Ring_splice -> Format.pp_print_string ppf "splice"
   | Star_rewire -> Format.pp_print_string ppf "star"

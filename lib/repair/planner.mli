@@ -15,11 +15,9 @@ type strategy =
   | Chain_border
       (** Chain the region's border nodes in identifier order: the
           simplest plan that always reconnects whatever the region cut
-          apart, at the price of up to [|B| - 1] new edges. *)
-  | Ring_splice
-      (** For ring-like overlays: connect the two border endpoints of the
-          crashed segment directly (one edge); falls back to
-          {!Chain_border} when the border is not exactly two nodes. *)
+          apart, at the price of up to [|B| - 1] new edges, at most two
+          of them at any one node.  On a two-node border (a cut ring
+          segment) it is the one edge splicing the segment's ends. *)
   | Star_rewire
       (** Re-attach every border node to the smallest border node — a
           hub-style repair creating [|B| - 1] edges with diameter 2. *)
@@ -32,7 +30,5 @@ val plan : strategy -> Graph.t -> Cliffedge.View.t -> Plan.t
 val propose : strategy -> Graph.t -> Node_id.t -> Cliffedge.View.t -> Plan.t
 (** Adapter with the [selectValueForView] signature expected by
     {!Cliffedge.Runner.run}'s [propose_value]. *)
-
-val strategy_of_string : string -> (strategy, string) result
 
 val pp_strategy : Format.formatter -> strategy -> unit

@@ -11,7 +11,7 @@ type outcome = {
   healed : bool;
 }
 
-let repair ?options ?(strategy = Planner.Ring_splice) ~graph ~crashes () =
+let repair ?options ?(strategy = Planner.Chain_border) ~graph ~crashes () =
   let runner =
     Runner.run ?options ~graph ~crashes
       ~propose_value:(Planner.propose strategy graph)

@@ -23,8 +23,8 @@ val repair :
   crashes:(float * Node_id.t) list ->
   unit ->
   outcome
-(** Runs a full repair session.  Default strategy: {!Planner.Ring_splice}
-    with its chain fallback, which heals any single-region cut.
+(** Runs a full repair session.  Default strategy:
+    {!Planner.Chain_border}, which heals any single-region cut.
     [healed] can legitimately be [false]: when several regions crash and
     some agreement is still blocked by arbitration (the CD7 weakness),
     or when a region's decided view grew after other plans were already

@@ -52,22 +52,19 @@ let test_heals_trivial_cases () =
   Alcotest.(check bool) "one survivor" true
     (Plan.heals g ~crashed:(set [ 1 ]) [])
 
-let test_ring_splice_planner () =
-  let g = Topology.ring 10 in
-  let view = set [ 4; 5 ] in
-  let plan = Planner.plan Planner.Ring_splice g view in
-  Alcotest.(check int) "one edge" 1 (Plan.edge_count plan);
-  Alcotest.(check bool) "endpoints are the border" true
-    (Plan.touches_only plan (Graph.border g view))
-
-let test_chain_planner_on_big_border () =
-  let g = Topology.grid 5 5 in
-  let view = set [ 12 ] in
-  (* border = {7, 11, 13, 17} *)
-  let plan = Planner.plan Planner.Chain_border g view in
-  Alcotest.(check int) "chain of 3 edges" 3 (Plan.edge_count plan);
-  Alcotest.(check bool) "within border" true
-    (Plan.touches_only plan (Graph.border g view))
+let test_chain_planner () =
+  List.iter
+    (fun (label, g, view, edges) ->
+      let plan = Planner.plan Planner.Chain_border g view in
+      Alcotest.(check int) label edges (Plan.edge_count plan);
+      Alcotest.(check bool) (label ^ ": within border") true
+        (Plan.touches_only plan (Graph.border g view)))
+    [
+      (* border = {7, 11, 13, 17} *)
+      ("grid chain of 3 edges", Topology.grid 5 5, set [ 12 ], 3);
+      (* border = {3, 6}: one edge splicing the cut ring segment *)
+      ("ring segment spliced by one edge", Topology.ring 10, set [ 4; 5 ], 1);
+    ]
 
 let test_star_planner () =
   let g = Topology.grid 5 5 in
@@ -86,7 +83,7 @@ let test_planner_degenerate_border () =
   (* Sole border node: nothing to reconnect. *)
   let g = Topology.path 2 in
   Alcotest.(check int) "empty plan" 0
-    (Plan.edge_count (Planner.plan Planner.Ring_splice g (set [ 1 ])))
+    (Plan.edge_count (Planner.plan Planner.Chain_border g (set [ 1 ])))
 
 let test_planner_deterministic () =
   let g = Topology.torus 6 6 in
@@ -94,20 +91,6 @@ let test_planner_deterministic () =
   let a = Planner.plan Planner.Chain_border g view in
   let b = Planner.plan Planner.Chain_border g view in
   Alcotest.(check bool) "same plan" true (Plan.equal a b)
-
-let test_strategy_strings () =
-  List.iter
-    (fun (s, expected) ->
-      match Planner.strategy_of_string s with
-      | Ok strategy ->
-          Alcotest.(check string) "roundtrip" s
-            (Format.asprintf "%a" Planner.pp_strategy strategy);
-          ignore expected
-      | Error e -> Alcotest.fail e)
-    [ ("chain", Planner.Chain_border); ("splice", Planner.Ring_splice); ("star", Planner.Star_rewire) ];
-  match Planner.strategy_of_string "nope" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "should reject"
 
 let test_session_single_region () =
   let graph = Topology.ring 16 in
@@ -128,8 +111,8 @@ let test_session_two_regions () =
 
 let test_session_cascade_still_heals () =
   (* Node 10 crashes while the {8,9} agreement is still in flight: the
-     region grows to {8,9,10} before anything is decided, and the splice
-     lands on the final border. *)
+     region grows to {8,9,10} before anything is decided, and the plan's
+     one edge lands on the final border. *)
   let graph = Topology.ring 20 in
   let crashes = crash_all 5.0 (set [ 8; 9 ]) @ [ (15.0, n 10) ] in
   let outcome = Session.repair ~graph ~crashes () in
@@ -157,7 +140,7 @@ let test_session_all_strategies_heal_grid () =
       Alcotest.(check bool)
         (Format.asprintf "healed with %a" Planner.pp_strategy strategy)
         true outcome.healed)
-    [ Planner.Chain_border; Planner.Ring_splice; Planner.Star_rewire ]
+    [ Planner.Chain_border; Planner.Star_rewire ]
 
 let suite =
   ( "repair",
@@ -168,12 +151,10 @@ let suite =
       Alcotest.test_case "touches_only" `Quick test_touches_only;
       Alcotest.test_case "heals detects cut" `Quick test_heals_detects_disconnection;
       Alcotest.test_case "heals trivial" `Quick test_heals_trivial_cases;
-      Alcotest.test_case "ring splice" `Quick test_ring_splice_planner;
-      Alcotest.test_case "chain planner" `Quick test_chain_planner_on_big_border;
+      Alcotest.test_case "chain planner" `Quick test_chain_planner;
       Alcotest.test_case "star planner" `Quick test_star_planner;
       Alcotest.test_case "degenerate border" `Quick test_planner_degenerate_border;
       Alcotest.test_case "planner deterministic" `Quick test_planner_deterministic;
-      Alcotest.test_case "strategy strings" `Quick test_strategy_strings;
       Alcotest.test_case "session single region" `Quick test_session_single_region;
       Alcotest.test_case "session two regions" `Quick test_session_two_regions;
       Alcotest.test_case "session cascade" `Quick test_session_cascade_still_heals;
