@@ -77,8 +77,6 @@ module Vector = struct
     let i = find_ix t.ks p in
     if i < 0 then None else Some t.vs.(i)
 
-  let mem t p = find_ix t.ks p >= 0
-
   (* First pass of [merge]: count the keys [incoming] adds.  Top-level
      recursive with index arguments for the same no-flambda reason as
      [find_ix_go]. *)
@@ -187,7 +185,7 @@ module Vector = struct
 
   let is_full ~border t =
     Array.length t.ks >= Node_set.cardinal border
-    && Node_set.for_all (fun p -> mem t p) border
+    && Node_set.for_all (fun p -> find_ix t.ks p >= 0) border
 
   exception Voided
 

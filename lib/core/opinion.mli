@@ -41,9 +41,6 @@ module Vector : sig
   val get : 'v t -> Node_id.t -> 'v opinion option
   (** [None] is the paper's [⊥]. *)
 
-  val mem : 'v t -> Node_id.t -> bool
-  (** [mem t p] iff [p]'s opinion is known (not [⊥]). *)
-
   val merge : 'v t -> incoming:'v t -> 'v t
   (** Fills [⊥] slots of the first vector from [incoming]; existing
       bindings win (line 24 only updates [⊥] values). *)
