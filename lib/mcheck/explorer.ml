@@ -3,7 +3,7 @@ module Protocol = Cliffedge.Protocol
 module Message = Cliffedge.Message
 module Opinion = Cliffedge.Opinion
 module Checker = Cliffedge.Checker
-module View = Cliffedge.View
+module Runner = Cliffedge.Runner
 
 type fd_semantics = [ `Channel_consistent | `Raw ]
 
@@ -73,7 +73,7 @@ type world = {
   pending_crashes : Node_id.t list;  (* injected in this order *)
   pending_notifs : (int * int) list;  (* (observer, crashed), sorted *)
   subs : (int * int) list;  (* (observer, target), sorted *)
-  decisions : (Node_id.t * View.t * string) list;  (* in decision order *)
+  decisions : string Checker.decisions;
   touched : (int * int) list;  (* communicated ordered pairs, sorted *)
   drops_left : int;  (* lossy-channel budgets ([`Reliable_fifo] = 0) *)
   dups_left : int;
@@ -111,9 +111,10 @@ let rec sorted_insert x l =
    The visited-state table keys on one int per world, mixed by
    [Protocol.mix] from each live node's cached [Protocol.fingerprint]
    and the explorer's own components.  Every list is framed by a tag
-   and its length.  Decisions are kept in decision order (the leaf
-   checks report in that order) but enter the fingerprint as a sum of
-   per-decision hashes, which does not depend on the order.  At the X10
+   and its length.  Decisions enter the fingerprint as a sum of
+   per-decision hashes of node, view and value, which does not depend
+   on their order; a decision's time is not hashed, since only the
+   check of that decision, made as it is taken, reads it.  At the X10
    scope (< 10^6 states) the 63-bit collision odds are ~10^-7. *)
 
 let mix = Protocol.mix
@@ -158,12 +159,14 @@ let world_fp w =
   in
   let h = mix_pairs (mix_pairs h 8 w.pending_notifs) 9 w.subs in
   let h = mix (mix (mix h 11) w.drops_left) w.dups_left in
-  let decisions =
+  let decisions = Checker.decision_list w.decisions in
+  let sum =
     List.fold_left
-      (fun acc (p, v, d) -> acc + mix (mix_set (mix 0 (Node_id.to_int p)) v) (value_fp d))
-      0 w.decisions
+      (fun acc (d : string Runner.decision) ->
+        acc + mix (mix_set (mix 0 (Node_id.to_int d.node)) d.view) (value_fp d.value))
+      0 decisions
   in
-  mix (mix (mix h 10) (List.length w.decisions)) decisions
+  mix (mix (mix h 10) (List.length decisions)) sum
 
 (* The visited set: fingerprints in an open-addressed int array with
    linear probing, at most half full, so recording a state is one probe
@@ -232,40 +235,30 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
   and truncated = ref false in
   (* [trace] is the schedule so far as moves, newest first: rendered
      only for the violations kept. *)
-  let report property trace fmt =
-    Format.kasprintf
-      (fun description ->
-        if List.length !violations < 10 then
-          violations :=
-            { property; description; trace = List.rev_map pp_move trace } :: !violations)
-      fmt
+  let report trace (v : Checker.violation) =
+    if List.length !violations < 10 then
+      let trace = List.rev_map pp_move trace in
+      let v = { property = v.property; description = v.description; trace } in
+      violations := v :: !violations
   in
-  (* -------------------- decide-time safety checks ------------------ *)
-  let check_decision trace w p view value =
-    if List.exists (fun (q, _, _) -> Node_id.equal p q) w.decisions then
-      report Checker.CD1_integrity trace "node %a decided twice" Node_id.pp p;
-    if not (Graph.is_region graph view) then
-      report Checker.CD2_view_accuracy trace "view %a is not a region" View.pp view;
-    if not (Node_set.subset view w.crashed) then
-      report Checker.CD2_view_accuracy trace "view %a not fully crashed at decision"
-        View.pp view;
-    if not (Node_set.mem p (Graph.border graph view)) then
-      report Checker.CD2_view_accuracy trace "decider %a not on border of %a" Node_id.pp
-        p View.pp view;
-    List.iter
-      (fun (q, w_view, w_value) ->
-        let mismatch () =
-          not (Node_set.equal view w_view && String.equal value w_value)
-        in
-        if Node_set.mem q (Graph.border graph view) && mismatch () then
-          report Checker.CD5_uniform_border_agreement trace
-            "%a decided %a but border node %a decided %a" Node_id.pp p View.pp view
-            Node_id.pp q View.pp w_view;
-        if Node_set.mem p (Graph.border graph w_view) && mismatch () then
-          report Checker.CD5_uniform_border_agreement trace
-            "%a decided %a but border node %a decided %a" Node_id.pp q View.pp w_view
-            Node_id.pp p View.pp view)
-      w.decisions
+  (* The checker's summary of the schedule so far.  The i-th crash is
+     injected at time i and a decision has the number of crashes before
+     it as its time, so CD2's test reads "crashed at the decision". *)
+  let crash_time =
+    Checker.crash_times (List.mapi (fun i q -> (float_of_int (i + 1), q)) crashes)
+  in
+  let obs = Cliffedge_obs.Log.create () in
+  let summary ~quiescent w =
+    {
+      Checker.graph;
+      crash_time;
+      decisions = w.decisions;
+      crashed = w.crashed;
+      pairs = lazy (List.map (fun (s, d) -> Node_id.(of_int s, of_int d)) w.touched);
+      quiescent;
+      geometry = lazy (Fault_geometry.compute graph ~faulty:w.crashed);
+      obs;
+    }
   in
   (* -------------------- applying protocol actions ------------------ *)
   let rec apply_actions trace w p actions =
@@ -297,8 +290,15 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
               in
               { w with channels = Channel_map.add key (queue @ [ msg ]) w.channels }
         | Protocol.Decide { view; value } ->
-            check_decision trace w p view value;
-            { w with decisions = (p, view, value) :: w.decisions })
+            let injected = List.length crashes - List.length w.pending_crashes in
+            let d =
+              { Runner.node = p; view; value; time = float_of_int injected; event = None }
+            in
+            let found, decisions =
+              Checker.at_decision ~value_equal:String.equal (summary ~quiescent:false w) d
+            in
+            List.iter (report trace) found;
+            { w with decisions })
       w actions
 
   and step_node trace w p event =
@@ -435,69 +435,10 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
               channels = Channel_map.add key (queue @ [ msg ]) w.channels;
             })
   in
-  (* -------------------- leaf (quiescence) checks ------------------- *)
-  let check_leaf trace w =
+  (* A quiescent leaf ends a schedule: no move is enabled. *)
+  let leaf trace w =
     incr leaves;
-    let geometry = Fault_geometry.compute graph ~faulty:w.crashed in
-    let correct = Node_set.diff (Graph.nodes graph) w.crashed in
-    let decider_set =
-      List.fold_left (fun acc (p, _, _) -> Node_set.add p acc) Node_set.empty
-        w.decisions
-    in
-    (* CD3: all communication within some domain envelope. *)
-    let envelopes = Fault_geometry.communication_envelope geometry in
-    List.iter
-      (fun (s, d) ->
-        let covered =
-          List.exists
-            (fun env ->
-              Node_set.mem (Node_id.of_int s) env && Node_set.mem (Node_id.of_int d) env)
-            envelopes
-        in
-        if not covered then
-          report Checker.CD3_locality trace "message %d -> %d outside every envelope" s d)
-      w.touched;
-    (* CD4: border of a decided view fully decides. *)
-    List.iter
-      (fun (_, view, _) ->
-        Node_set.iter
-          (fun q ->
-            if Node_set.mem q correct && not (Node_set.mem q decider_set) then
-              report Checker.CD4_border_termination trace
-                "correct border node %a of decided %a never decides" Node_id.pp q
-                View.pp view)
-          (Graph.border graph view))
-      w.decisions;
-    (* CD6 among correct deciders. *)
-    let correct_decisions =
-      List.filter (fun (p, _, _) -> Node_set.mem p correct) w.decisions
-    in
-    List.iter
-      (fun (p, v, _) ->
-        List.iter
-          (fun (q, u, _) ->
-            if
-              (not (Node_id.equal p q))
-              && (not (Node_set.equal v u))
-              && not (Node_set.is_empty (Node_set.inter v u))
-            then
-              report Checker.CD6_view_convergence trace
-                "correct deciders %a and %a hold overlapping views" Node_id.pp p
-                Node_id.pp q)
-          correct_decisions)
-      correct_decisions;
-    (* CD7: progress per cluster. *)
-    List.iter
-      (fun border ->
-        let has =
-          Node_set.exists
-            (fun p -> Node_set.mem p correct && Node_set.mem p decider_set)
-            border
-        in
-        if not has then
-          report Checker.CD7_progress trace "no decider in cluster bordered by %a"
-            Node_set.pp border)
-      (Fault_geometry.cluster_borders geometry)
+    List.iter (report trace) (Checker.at_end (summary ~quiescent:true w))
   in
   (* -------------------- DFS over the state graph ------------------- *)
   let rec dfs trace w =
@@ -505,7 +446,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
       if Visited.add visited (world_fp w) then begin
         incr states;
         match enabled_moves w with
-        | [] -> check_leaf trace w
+        | [] -> leaf trace w
         | moves ->
             List.iter
               (fun move ->
@@ -532,7 +473,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
         pending_crashes = crashes;
         pending_notifs = [];
         subs = [];
-        decisions = [];
+        decisions = Checker.no_decisions;
         touched = [];
         drops_left =
           (match channel with `Reliable_fifo -> 0 | `Lossy { max_drops; _ } -> max_drops);
@@ -553,7 +494,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
         let rec walk trace w =
           record w;
           match enabled_moves w with
-          | [] -> check_leaf trace w
+          | [] -> leaf trace w
           | moves ->
               let move = Cliffedge_prng.Prng.choose rng moves in
               incr transitions;

@@ -13,11 +13,11 @@
     Counterexample traces are kept as moves and rendered only for the
     violations reported.
 
-    The explorer runs its own property checks; it does not call
-    {!Cliffedge.Checker}.  CD1, CD2 and CD5 are checked at every
-    decision.  The locality envelope CD3 (over every message sent), CD6
-    among correct deciders and the liveness properties CD4 and CD7 are
-    checked at quiescent leaves, where no move is enabled.
+    The properties are {!Cliffedge.Checker}'s.  At each [Decide] action
+    the explorer hands the new decision to
+    {!Cliffedge.Checker.at_decision} (CD1, CD2, CD5); at each quiescent
+    leaf, where no move is enabled, it hands the whole schedule to
+    {!Cliffedge.Checker.at_end} (CD3, CD4, CD6, CD7).
 
     The detector semantics is a parameter, mirroring the finding of
     DESIGN.md §7:

@@ -186,13 +186,30 @@ let test_cd3_cites_first_send () =
     "k=8 pairs with more than one send" 8
     (check_row ~k:8 ~expected:227)
 
+(* Either border node of {3,4} deciding alone leaves the other, lower
+   or higher, named as the one that never decided. *)
 let test_cd4_missing_peer_decision () =
-  let decisions =
-    [ { Runner.node = n 2; view = set [ 3; 4 ]; value = "d"; time = 20.0; event = None } ]
-  in
-  let report = Checker.check (make_outcome ~decisions ()) in
-  Alcotest.(check bool) "cd4 fires" true
-    (has_violation report Checker.CD4_border_termination)
+  List.iter
+    (fun (decider, missing) ->
+      let decisions =
+        [ { Runner.node = n decider; view = set [ 3; 4 ]; value = "d"; time = 20.0; event = None } ]
+      in
+      let cd4 =
+        List.filter_map
+          (fun v ->
+            if v.Checker.property = Checker.CD4_border_termination then
+              Some v.Checker.description
+            else None)
+          (Checker.check (make_outcome ~decisions ())).Checker.violations
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "cd4 names n%d" missing)
+        [
+          Printf.sprintf "correct node n%d on border of decided view {n3, n4} never decided"
+            missing;
+        ]
+        cd4)
+    [ (2, 5); (5, 2) ]
 
 let test_cd5_value_disagreement () =
   let decisions =
@@ -217,6 +234,61 @@ let test_cd5_view_disagreement () =
   let report = Checker.check (make_outcome ~decisions ()) in
   Alcotest.(check bool) "cd5 fires" true
     (has_violation report Checker.CD5_uniform_border_agreement)
+
+(* X10's raw-detector counterexample on path5: n3 decides {2}, then n1
+   decides the grown {2, 3}.  n1 is on the border of {2}, so the pair
+   breaks CD5 in whichever order the two decide.  The decision-time
+   check sees only the decisions before the new one: it must report the
+   pair once, at the later decision, and report it as the whole-run
+   check does. *)
+let test_cd5_at_decision_either_order () =
+  let graph = Topology.path 5 in
+  let crashes = [ (1.0, n 2); (2.0, n 3) ] in
+  let n3 = { Runner.node = n 3; view = set [ 2 ]; value = "a"; time = 1.5; event = Some 7 } in
+  let n1 =
+    { Runner.node = n 1; view = set [ 2; 3 ]; value = "b"; time = 3.0; event = Some 9 }
+  in
+  let cd5 =
+    List.filter_map (fun v ->
+        if v.Checker.property = Checker.CD5_uniform_border_agreement then
+          Some (v.Checker.description, v.Checker.events)
+        else None)
+  in
+  let cited = Alcotest.(list (pair string (list int))) in
+  List.iter
+    (fun (first, second) ->
+      let whole =
+        Checker.check ~value_equal:String.equal
+          {
+            (make_outcome ~decisions:[ first; second ] ~crashes ~crashed:(set [ 2; 3 ]) ())
+            with
+            Runner.graph;
+          }
+      in
+      (* The decision-time check of [second] sees [first] only. *)
+      let at decisions d =
+        Checker.at_decision ~value_equal:String.equal
+          {
+            Checker.graph;
+            crash_time = Checker.crash_times crashes;
+            decisions;
+            crashed = set [ 2; 3 ];
+            pairs = lazy [];
+            quiescent = false;
+            geometry = lazy (Alcotest.fail "the decision-time check computes no geometry");
+            obs = Obs.Log.create ();
+          }
+          d
+      in
+      let at_first, after_first = at Checker.no_decisions first in
+      let at_second, _ = at after_first second in
+      let expected =
+        [ ("n3 decided {n2} but n1 on its border decided {n2, n3}", [ 7; 9 ]) ]
+      in
+      Alcotest.(check cited) "whole run" expected (cd5 whole.Checker.violations);
+      Alcotest.(check cited) "first decision" [] (cd5 at_first);
+      Alcotest.(check cited) "second decision" expected (cd5 at_second))
+    [ (n3, n1); (n1, n3) ]
 
 let test_cd6_overlapping_views () =
   (* Two deciders with overlapping but distinct views, neither on the
@@ -303,6 +375,8 @@ let suite =
       Alcotest.test_case "cd4 missing decision" `Quick test_cd4_missing_peer_decision;
       Alcotest.test_case "cd5 value disagreement" `Quick test_cd5_value_disagreement;
       Alcotest.test_case "cd5 view disagreement" `Quick test_cd5_view_disagreement;
+      Alcotest.test_case "cd5 at decision, either order" `Quick
+        test_cd5_at_decision_either_order;
       Alcotest.test_case "cd6 overlap" `Quick test_cd6_overlapping_views;
       Alcotest.test_case "cd7 nobody decides" `Quick test_cd7_nobody_decides;
       Alcotest.test_case "cd7 trivial" `Quick test_cd7_trivial_without_faults;
