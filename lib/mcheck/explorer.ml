@@ -235,11 +235,10 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
   and truncated = ref false in
   (* [trace] is the schedule so far as moves, newest first: rendered
      only for the violations kept. *)
-  let report trace (v : Checker.violation) =
+  let report trace ({ property; description; _ } : Checker.violation) =
     if List.length !violations < 10 then
       let trace = List.rev_map pp_move trace in
-      let v = { property = v.property; description = v.description; trace } in
-      violations := v :: !violations
+      violations := { property; description; trace } :: !violations
   in
   (* The checker's summary of the schedule so far.  The i-th crash is
      injected at time i and a decision has the number of crashes before

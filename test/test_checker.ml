@@ -265,7 +265,6 @@ let test_cd5_at_decision_either_order () =
             Runner.graph;
           }
       in
-      (* The decision-time check of [second] sees [first] only. *)
       let at decisions d =
         Checker.at_decision ~value_equal:String.equal
           {
@@ -281,6 +280,7 @@ let test_cd5_at_decision_either_order () =
           d
       in
       let at_first, after_first = at Checker.no_decisions first in
+      (* The decision-time check of [second] sees [first] only. *)
       let at_second, _ = at after_first second in
       let expected =
         [ ("n3 decided {n2} but n1 on its border decided {n2, n3}", [ 7; 9 ]) ]
