@@ -52,19 +52,20 @@ let test_heals_trivial_cases () =
   Alcotest.(check bool) "one survivor" true
     (Plan.heals g ~crashed:(set [ 1 ]) [])
 
+let check_chain_plan label g view edges =
+  let plan = Planner.plan Planner.Chain_border g view in
+  Alcotest.(check int) label edges (Plan.edge_count plan);
+  Alcotest.(check bool) (label ^ ": within border") true
+    (Plan.touches_only plan (Graph.border g view))
+
+let test_ring_splice () =
+  (* border = {3, 6}: one edge splicing the cut ring segment *)
+  check_chain_plan "ring segment spliced by one edge" (Topology.ring 10)
+    (set [ 4; 5 ]) 1
+
 let test_chain_planner () =
-  List.iter
-    (fun (label, g, view, edges) ->
-      let plan = Planner.plan Planner.Chain_border g view in
-      Alcotest.(check int) label edges (Plan.edge_count plan);
-      Alcotest.(check bool) (label ^ ": within border") true
-        (Plan.touches_only plan (Graph.border g view)))
-    [
-      (* border = {7, 11, 13, 17} *)
-      ("grid chain of 3 edges", Topology.grid 5 5, set [ 12 ], 3);
-      (* border = {3, 6}: one edge splicing the cut ring segment *)
-      ("ring segment spliced by one edge", Topology.ring 10, set [ 4; 5 ], 1);
-    ]
+  (* border = {7, 11, 13, 17} *)
+  check_chain_plan "grid chain of 3 edges" (Topology.grid 5 5) (set [ 12 ]) 3
 
 let test_star_planner () =
   let g = Topology.grid 5 5 in
@@ -151,6 +152,7 @@ let suite =
       Alcotest.test_case "touches_only" `Quick test_touches_only;
       Alcotest.test_case "heals detects cut" `Quick test_heals_detects_disconnection;
       Alcotest.test_case "heals trivial" `Quick test_heals_trivial_cases;
+      Alcotest.test_case "ring splice" `Quick test_ring_splice;
       Alcotest.test_case "chain planner" `Quick test_chain_planner;
       Alcotest.test_case "star planner" `Quick test_star_planner;
       Alcotest.test_case "degenerate border" `Quick test_planner_degenerate_border;
