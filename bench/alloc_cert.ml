@@ -2,7 +2,8 @@
 
    Each row drives one code path for real and pins its Gc.minor_words
    delta per operation against a budget quoted here and at the source
-   site: the node-set and opinion-vector queries, the engine heap, a
+   site: the node-set and opinion-vector queries, the node-set folds, a
+   region test on a view already seen, the engine heap, a
    stale and a merged Deliver, the model checker's fingerprint, the
    detector's re-registration, one log record and two whole delivery
    paths.  This is the only gate on those claims (DESIGN.md §12), and
@@ -77,6 +78,33 @@ let node_set_entry () =
         ignore (Sys.opaque_identity (Node_set.equal a a'));
         ignore (Sys.opaque_identity (Node_set.compare a c));
         ignore (Sys.opaque_identity (Node_set.hash a)));
+  }
+
+(* lib/graph/node_set.ml fold/exists/for_all: top-level recursion over
+   the pairs, driven by closed functions that allocate nothing, over
+   the query row's three-word set.  [exists] finds no member and
+   [for_all] fails on none, so each call visits every member. *)
+let node_set_folds_entry () =
+  let a = Node_set.of_ints [ 1; 2; 3; 64; 65; 130 ] in
+  {
+    name = "node_set folds (fold/exists/for_all)";
+    budget = 0.0;
+    thunk =
+      (fun () ->
+        ignore (Sys.opaque_identity (Node_set.fold (fun p acc -> acc + Node_id.to_int p) a 0));
+        ignore (Sys.opaque_identity (Node_set.exists (fun p -> Node_id.to_int p > 1000) a));
+        ignore (Sys.opaque_identity (Node_set.for_all (fun p -> Node_id.to_int p >= 0) a)));
+  }
+
+(* lib/graph/graph.ml is_region on a view already seen, as CD2 asks it
+   for every decider of a view: one hit in the components memo. *)
+let graph_is_region_entry () =
+  let graph = Topology.ring 32 in
+  let view = Node_set.of_ints [ 4; 5 ] in
+  {
+    name = "graph is_region (view already seen)";
+    budget = 0.0;
+    thunk = (fun () -> ignore (Sys.opaque_identity (Graph.is_region graph view)));
   }
 
 (* lib/sim/engine.ml: one schedule and one step against a queue holding
@@ -283,6 +311,8 @@ let substrate_entry ~name ~budget channel =
 let entries () =
   [
     node_set_entry ();
+    node_set_folds_entry ();
+    graph_is_region_entry ();
     opinion_merge_entry ();
     protocol_merge_entry ();
     protocol_stale_entry ();

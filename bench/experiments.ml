@@ -1204,6 +1204,36 @@ let region_run_words ?(n = 1_000_000) seed =
   assert (Checker.ok (Checker.check ~value_equal:String.equal outcome));
   Gc.minor_words () -. before
 
+(* CPU microseconds per transition of [runs] explorations. *)
+let explore_us_per_transition ?max_states ~runs graph crashes =
+  let transitions = ref 0 in
+  let (), ms =
+    Json_out.time_ms (fun () ->
+        for _ = 1 to runs do
+          let stats = Cliffedge_mcheck.Explorer.explore ?max_states ~graph ~crashes () in
+          transitions := stats.transitions
+        done)
+  in
+  ms *. 1000.0 /. float_of_int (runs * !transitions)
+
+(* The explorer's cost per transition on star:6 (hub crash, to 50 000
+   states) and on X10's ring6 cascade {2,3}+4, each the best of five
+   timings taken in alternation, so that a slow phase of the host
+   lands on both. *)
+let explorer_cost_per_move () =
+  let id = Node_id.of_int in
+  let star6 = Topology.star 6 and ring6 = Topology.ring 6 in
+  Gc.full_major ();
+  let best_star6 = ref infinity and best_ring6 = ref infinity in
+  for _ = 1 to 5 do
+    best_star6 :=
+      Float.min !best_star6
+        (explore_us_per_transition ~max_states:50_000 ~runs:1 star6 [ id 0 ]);
+    best_ring6 :=
+      Float.min !best_ring6 (explore_us_per_transition ~runs:50 ring6 [ id 2; id 3; id 4 ])
+  done;
+  (!best_star6, !best_ring6)
+
 (* Large-N smoke for the @bench-smoke gate: one cliff-edge run
    on a never-materialized 100k-node ring, then a 512-crash cascade
    through the incremental geometry with hard ceilings on per-crash
@@ -1214,7 +1244,11 @@ let region_run_words ?(n = 1_000_000) seed =
    agreement at the bottom and at the top of a million-node id range,
    and just below 2^40 on a 2^40-node ring, must allocate within 2x of
    the bottom one: a run's cost follows its region, not the magnitude
-   of the region's ids. *)
+   of the region's ids.  And the explorer's cost per move must not grow
+   with the world: a transition on star:6 to 50 000 states may cost at
+   most 1.5x one on X10's ring6 cascade, both timed in this process so
+   that the host's speed cancels out (1.9-2.4x while [world_fp] folded
+   the whole world at every state). *)
 let largen_smoke () =
   let n = 100_000 in
   let ce, ce_ms = implicit_ring_run n in
@@ -1237,6 +1271,12 @@ let largen_smoke () =
     low high (high /. low) huge (huge /. low);
   assert (high <= 2.0 *. low);
   assert (huge <= 2.0 *. low);
+  let star6, ring6 = explorer_cost_per_move () in
+  Format.printf
+    "explorer cost per move: %.2f us per transition on star:6 (hub crash, to 50000 \
+     states), %.2f on ring6 (cascade {2,3}+4) (%.2fx)@."
+    star6 ring6 (star6 /. ring6);
+  assert (star6 <= 1.5 *. ring6);
   Json_out.record ~section:"largen"
     [
       ( "implicit_ring_100k",
@@ -1253,6 +1293,12 @@ let largen_smoke () =
             ("minor_words_at_id_100", Cliffedge_report.Json.Float low);
             ("minor_words_at_id_999900", Cliffedge_report.Json.Float high);
             ("minor_words_at_id_2p40_minus_100", Cliffedge_report.Json.Float huge);
+          ] );
+      ( "explorer_us_per_transition",
+        Cliffedge_report.Json.Obj
+          [
+            ("star6_hub_50k_states", Cliffedge_report.Json.Float star6);
+            ("ring6_cascade_2_3_4", Cliffedge_report.Json.Float ring6);
           ] );
     ]
 

@@ -413,7 +413,13 @@ let is_connected_subset t s =
   | None -> false
   | Some start -> Node_set.equal (component_of t s start) s
 
-let is_region = is_connected_subset
+(* CD2 asks this once per decision, of views that recur: answered from
+   the components memo, so a view already seen costs one lookup.  The
+   components clip ids outside the graph, so such a set is never its
+   own single component. *)
+let is_region t s =
+  (not (Node_set.is_empty s))
+  && match connected_components t s with [ c ] -> Node_set.equal c s | _ -> false
 
 let is_connected t = is_connected_subset t (nodes t)
 

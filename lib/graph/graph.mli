@@ -119,7 +119,10 @@ val is_connected_subset : t -> Node_set.t -> bool
     connected.  The empty set is not connected. *)
 
 val is_region : t -> Node_set.t -> bool
-(** A region is a non-empty connected subgraph of [G] (§2.2). *)
+(** A region is a non-empty connected subgraph of [G] (§2.2): a set of
+    the graph's nodes that is its own single connected component.
+    Answered from the memoized {!connected_components}, so asking again
+    of a view already seen allocates nothing. *)
 
 val is_connected : t -> bool
 (** Whether the whole graph is connected (and non-empty). *)

@@ -380,20 +380,34 @@ let iter f t =
     done
   done
 
-let fold f t init =
-  let acc = ref init in
-  iter (fun p -> acc := f p !acc) t;
-  !acc
+(* [fold], [exists] and [for_all] walk the pairs by top-level recursion
+   over explicit arguments, so a call allocates only what its function
+   does: [s] is the slot of the current pair and [x] the bits of its
+   word not yet visited, lowest first. *)
+let rec fold_go f t s x acc =
+  if x <> 0 then
+    let p = Node_id.of_int ((Array.unsafe_get t s * word_bits) + ntz (x land -x)) in
+    fold_go f t s (x land (x - 1)) (f p acc)
+  else if s + 2 < Array.length t then fold_go f t (s + 2) (Array.unsafe_get t (s + 3)) acc
+  else acc
 
-exception Found of Node_id.t
+let fold f t init = if is_empty t then init else fold_go f t 0 (Array.unsafe_get t 1) init
 
-let exists p t =
-  try
-    iter (fun x -> if p x then raise (Found x)) t;
-    false
-  with Found _ -> true
+let rec exists_go p t s x =
+  if x <> 0 then
+    p (Node_id.of_int ((Array.unsafe_get t s * word_bits) + ntz (x land -x)))
+    || exists_go p t s (x land (x - 1))
+  else s + 2 < Array.length t && exists_go p t (s + 2) (Array.unsafe_get t (s + 3))
 
-let for_all p t = not (exists (fun x -> not (p x)) t)
+let exists p t = (not (is_empty t)) && exists_go p t 0 (Array.unsafe_get t 1)
+
+let rec for_all_go p t s x =
+  if x <> 0 then
+    p (Node_id.of_int ((Array.unsafe_get t s * word_bits) + ntz (x land -x)))
+    && for_all_go p t s (x land (x - 1))
+  else s + 2 >= Array.length t || for_all_go p t (s + 2) (Array.unsafe_get t (s + 3))
+
+let for_all p t = is_empty t || for_all_go p t 0 (Array.unsafe_get t 1)
 
 (* Descending iteration: builds [elements] without a reversal. *)
 let rev_iter f t =

@@ -66,10 +66,26 @@ end)
    one node, so only that node is rehashed. *)
 type node = { state : string Protocol.state; fp : int }
 
+(* A channel's queue, head = next to deliver: each message beside its
+   hash, taken once when it is sent, so the copies of a multicast and a
+   duplicate share their original's. *)
+type queue = Empty | Msg of { msg : string Message.t; msg_fp : int; next : queue }
+
+(* [q] with [msg], whose hash is [msg_fp], at its tail. *)
+let rec enqueue q msg msg_fp =
+  match q with
+  | Empty -> Msg { msg; msg_fp; next = Empty }
+  | Msg m -> Msg { m with next = enqueue m.next msg msg_fp }
+
+(* A channel's queue beside the channel's item hash (see [world_fp]):
+   its ends, its messages' hashes in order and its length.  The map
+   holds non-empty channels only. *)
+type channel = { queue : queue; queue_fp : int }
+
 type world = {
   alive : node Node_map.t;
   crashed : Node_set.t;
-  channels : string Message.t list Channel_map.t;  (* head = next to deliver *)
+  channels : channel Channel_map.t;
   pending_crashes : Node_id.t list;  (* injected in this order *)
   pending_notifs : (int * int) list;  (* (observer, crashed), sorted *)
   subs : (int * int) list;  (* (observer, target), sorted *)
@@ -77,6 +93,7 @@ type world = {
   touched : (int * int) list;  (* communicated ordered pairs, sorted *)
   drops_left : int;  (* lossy-channel budgets ([`Reliable_fifo] = 0) *)
   dups_left : int;
+  sum : int;  (* the items' hashes, summed: see [world_fp] *)
 }
 
 type move =
@@ -108,18 +125,45 @@ let rec sorted_insert x l =
 
 (* Canonical state fingerprints.
 
-   The visited-state table keys on one int per world, mixed by
-   [Protocol.mix] from each live node's cached [Protocol.fingerprint]
-   and the explorer's own components.  Every list is framed by a tag
-   and its length.  Decisions enter the fingerprint as a sum of
-   per-decision hashes of node, view and value, which does not depend
-   on their order; a decision's time is not hashed, since only the
-   check of that decision, made as it is taken, reads it.  At the X10
-   scope (< 10^6 states) the 63-bit collision odds are ~10^-7. *)
+   The visited-state table keys on one int per world.  A world carries
+   [sum], the wrap-around sum of one tagged, fully mixed hash per item:
+   each live node's cached [Protocol.fingerprint] under its id, each
+   channel, each subscription, each pending notification and each
+   decision.  A move adds the hashes of the items it creates and
+   subtracts those of the items it removes, so its cost follows what
+   it changed, not the size of the world, and [world_fp] mixes the sum
+   with the few fields kept outright.  Addition, not xor, so two equal
+   items (a node that decides twice) do not cancel; each item ends in
+   a finalizer, so the sum is not linear in the items' fields.  A
+   decision's time is not hashed, since only the check of that
+   decision, made as it is taken, reads it, and neither are the
+   communicated pairs.  At the X10 scope (< 10^6 states) the 63-bit
+   collision odds are ~10^-7. *)
 
 let mix = Protocol.mix
 
-let value_fp s = String.fold_left (fun h c -> mix h (Char.code c)) (String.length s) s
+let value_fp = String.hash
+
+(* splitmix64's finalizer, as [Node_set.hash] ends: every bit of [h]
+   reaches every bit of the result. *)
+let seal h =
+  let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  h lxor (h lsr 31)
+
+(* Item tags, mixed in first so that no two kinds of item meet. *)
+let node_tag = mix 0 1
+let channel_tag = mix 0 2
+let sub_tag = mix 0 3
+let notif_tag = mix 0 4
+let decision_tag = mix 0 5
+
+let node_item p fp = seal (mix (mix node_tag (Node_id.to_int p)) fp)
+
+let pair_item tag (a, b) = seal (mix (mix tag a) b)
+
+let decision_item p view value =
+  seal (mix (mix (mix decision_tag (Node_id.to_int p)) (Node_set.hash view)) (value_fp value))
 
 let mix_set h s = mix h (Node_set.hash s)
 
@@ -132,41 +176,35 @@ let mix_opinion p op h =
 let mix_opinions h vec =
   Opinion.Vector.fold mix_opinion vec (mix h (Opinion.Vector.known vec))
 
-let mix_message h msg =
+let message_fp msg =
   match msg with
   | Message.Round { round; view; border = _; opinions } ->
-      mix_opinions (mix_set (mix (mix h 3) round) view) opinions
-  | Message.Outcome { view; opinions; _ } ->
-      mix_opinions (mix_set (mix h 4) view) opinions
+      mix_opinions (mix_set (mix (mix 0 3) round) view) opinions
+  | Message.Outcome { view; opinions; _ } -> mix_opinions (mix_set (mix 0 4) view) opinions
 
-let mix_pairs h tag l =
-  List.fold_left (fun h (a, b) -> mix (mix h a) b) (mix (mix h tag) (List.length l)) l
+let rec mix_queue h n = function
+  | Empty -> mix h n
+  | Msg m -> mix_queue (mix h m.msg_fp) (n + 1) m.next
 
+(* Channel [(s, d)] holding [queue], which is not empty. *)
+let channel_of (s, d) queue =
+  { queue; queue_fp = seal (mix_queue (mix (mix channel_tag s) d) 0 queue) }
+
+(* [w] with channel [key], whose item hash was [old_fp] (0: it held
+   nothing), now holding [queue]. *)
+let put_channel w key old_fp queue =
+  let sum = w.sum - old_fp in
+  match queue with
+  | Empty -> { w with channels = Channel_map.remove key w.channels; sum }
+  | Msg _ ->
+      let c = channel_of key queue in
+      { w with channels = Channel_map.add key c w.channels; sum = sum + c.queue_fp }
+
+(* The pending crashes are a suffix of the configuration's schedule, so
+   their count names them. *)
 let world_fp w =
-  let h = Node_map.fold (fun p n h -> mix (mix h (Node_id.to_int p)) n.fp) w.alive 0 in
-  let h = mix_set (mix h 5) w.crashed in
-  let h =
-    Channel_map.fold
-      (fun (s, d) msgs h ->
-        List.fold_left mix_message (mix (mix (mix (mix h 6) s) d) (List.length msgs)) msgs)
-      w.channels h
-  in
-  let h =
-    List.fold_left
-      (fun h q -> mix h (Node_id.to_int q))
-      (mix (mix h 7) (List.length w.pending_crashes))
-      w.pending_crashes
-  in
-  let h = mix_pairs (mix_pairs h 8 w.pending_notifs) 9 w.subs in
-  let h = mix (mix (mix h 11) w.drops_left) w.dups_left in
-  let decisions = Checker.decision_list w.decisions in
-  let sum =
-    List.fold_left
-      (fun acc (d : string Runner.decision) ->
-        acc + mix (mix_set (mix 0 (Node_id.to_int d.node)) d.view) (value_fp d.value))
-      0 decisions
-  in
-  mix (mix (mix h 10) (List.length decisions)) sum
+  let h = mix (Node_set.hash w.crashed) (List.length w.pending_crashes) in
+  mix (mix (mix h w.drops_left) w.dups_left) w.sum
 
 (* The visited set: fingerprints in an open-addressed int array with
    linear probing, at most half full, so recording a state is one probe
@@ -260,6 +298,17 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
     }
   in
   (* -------------------- applying protocol actions ------------------ *)
+  (* The copies of a multicast are [Send] actions over one physical
+     message, so a message is hashed once. *)
+  let last_sent = ref None and last_fp = ref 0 in
+  let sent_fp msg =
+    match !last_sent with
+    | Some m when m == msg -> !last_fp
+    | Some _ | None ->
+        last_sent := Some msg;
+        last_fp := message_fp msg;
+        !last_fp
+  in
   let rec apply_actions trace w p actions =
     List.fold_left
       (fun w action ->
@@ -274,20 +323,25 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
                   let subs = sorted_insert key w.subs in
                   if subs == w.subs then w
                   else
-                    let w = { w with subs } in
+                    let sum = w.sum + pair_item sub_tag key in
                     if Node_set.mem target w.crashed then
-                      { w with pending_notifs = sorted_insert key w.pending_notifs }
-                    else w)
+                      let pending_notifs = sorted_insert key w.pending_notifs in
+                      let sum =
+                        if pending_notifs == w.pending_notifs then sum
+                        else sum + pair_item notif_tag key
+                      in
+                      { w with subs; pending_notifs; sum }
+                    else { w with subs; sum })
               targets w
         | Protocol.Send { dst; msg } ->
             let key = (Node_id.to_int p, Node_id.to_int dst) in
             let w = { w with touched = sorted_insert key w.touched } in
             if Node_set.mem dst w.crashed then w
-            else
-              let queue =
-                Option.value ~default:[] (Channel_map.find_opt key w.channels)
-              in
-              { w with channels = Channel_map.add key (queue @ [ msg ]) w.channels }
+            else begin
+              match Channel_map.find_opt key w.channels with
+              | None -> put_channel w key 0 (enqueue Empty msg (sent_fp msg))
+              | Some c -> put_channel w key c.queue_fp (enqueue c.queue msg (sent_fp msg))
+            end
         | Protocol.Decide { view; value } ->
             let injected = List.length crashes - List.length w.pending_crashes in
             let d =
@@ -297,7 +351,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
               Checker.at_decision ~value_equal:String.equal (summary ~quiescent:false w) d
             in
             List.iter (report trace) found;
-            { w with decisions })
+            { w with decisions; sum = w.sum + decision_item p view value })
       w actions
 
   and step_node trace w p event =
@@ -308,8 +362,12 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
         let w =
           if state == node.state then w
           else
-            let node = { state; fp = Protocol.fingerprint value_fp state } in
-            { w with alive = Node_map.add p node w.alive }
+            let fp = Protocol.fingerprint value_fp state in
+            {
+              w with
+              alive = Node_map.add p { state; fp } w.alive;
+              sum = w.sum - node_item p node.fp + node_item p fp;
+            }
         in
         apply_actions trace w p actions
   in
@@ -320,10 +378,8 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
     in
     let deliver_moves =
       Channel_map.fold
-        (fun (s, d) queue acc ->
-          if queue <> [] && Node_map.mem (Node_id.of_int d) w.alive then
-            Deliver (s, d) :: acc
-          else acc)
+        (fun (s, d) _ acc ->
+          if Node_map.mem (Node_id.of_int d) w.alive then Deliver (s, d) :: acc else acc)
         w.channels []
     in
     (* Lossy-channel adversary moves: the scheduler may also discard or
@@ -334,8 +390,8 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
       if w.drops_left <= 0 && w.dups_left <= 0 then []
       else
         Channel_map.fold
-          (fun (s, d) queue acc ->
-            if queue <> [] && Node_map.mem (Node_id.of_int d) w.alive then begin
+          (fun (s, d) _ acc ->
+            if Node_map.mem (Node_id.of_int d) w.alive then begin
               let acc = if w.drops_left > 0 then Drop (s, d) :: acc else acc in
               if w.dups_left > 0 then Dup (s, d) :: acc else acc
             end
@@ -349,10 +405,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
           let channel_clear =
             match fd with
             | `Raw -> true
-            | `Channel_consistent -> (
-                match Channel_map.find_opt (c, o) w.channels with
-                | None | Some [] -> true
-                | Some _ -> false)
+            | `Channel_consistent -> not (Channel_map.mem (c, o) w.channels)
           in
           if observer_alive && channel_clear then Some (Notify (o, c)) else None)
         w.pending_notifs
@@ -362,76 +415,81 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
   let apply_move trace w move =
     match move with
     | Crash q ->
+        let qi = Node_id.to_int q in
+        let sum =
+          match Node_map.find_opt q w.alive with
+          | None -> w.sum
+          | Some node -> w.sum - node_item q node.fp
+        in
+        (* Queued messages to q can never be delivered: drop them. *)
+        let sum =
+          Channel_map.fold
+            (fun (_, d) c sum -> if Int.equal d qi then sum - c.queue_fp else sum)
+            w.channels sum
+        in
+        (* Notifications to q are void. *)
+        let sum =
+          List.fold_left
+            (fun sum ((o, _) as n) ->
+              if Int.equal o qi then sum - pair_item notif_tag n else sum)
+            sum w.pending_notifs
+        in
         let w =
           {
             w with
             alive = Node_map.remove q w.alive;
             crashed = Node_set.add q w.crashed;
             pending_crashes = List.tl w.pending_crashes;
-            (* Queued messages to q can never be delivered: drop them. *)
-            channels =
-              Channel_map.filter
-                (fun (_, d) _ -> not (Int.equal d (Node_id.to_int q)))
-                w.channels;
-            (* Notifications to q are void. *)
-            pending_notifs =
-              List.filter (fun (o, _) -> not (Int.equal o (Node_id.to_int q))) w.pending_notifs;
+            channels = Channel_map.filter (fun (_, d) _ -> not (Int.equal d qi)) w.channels;
+            pending_notifs = List.filter (fun (o, _) -> not (Int.equal o qi)) w.pending_notifs;
+            sum;
           }
         in
-        let new_notifs =
-          List.filter_map
-            (fun (o, t) ->
-              if Int.equal t (Node_id.to_int q) && Node_map.mem (Node_id.of_int o) w.alive then
-                Some (o, t)
-              else None)
-            w.subs
+        (* Live subscribers to q are now owed a notification. *)
+        let pending_notifs, sum =
+          List.fold_left
+            (fun ((notifs, sum) as acc) ((o, t) as n) ->
+              if Int.equal t qi && Node_map.mem (Node_id.of_int o) w.alive then
+                let notifs' = sorted_insert n notifs in
+                if notifs' == notifs then acc else (notifs', sum + pair_item notif_tag n)
+              else acc)
+            (w.pending_notifs, w.sum) w.subs
         in
-        {
-          w with
-          pending_notifs =
-            List.fold_left (fun acc n -> sorted_insert n acc) w.pending_notifs new_notifs;
-        }
+        { w with pending_notifs; sum }
     | Deliver (s, d) -> (
         let key = (s, d) in
-        match Channel_map.find_opt key w.channels with
-        | None | Some [] -> assert false
-        | Some (msg :: rest) ->
-            let w =
-              {
-                w with
-                channels =
-                  (if rest = [] then Channel_map.remove key w.channels
-                   else Channel_map.add key rest w.channels);
-              }
-            in
+        let c = Channel_map.find key w.channels in
+        match c.queue with
+        | Empty -> assert false
+        | Msg head ->
+            let w = put_channel w key c.queue_fp head.next in
             step_node trace w (Node_id.of_int d)
-              (Protocol.Deliver { src = Node_id.of_int s; msg }))
+              (Protocol.Deliver { src = Node_id.of_int s; msg = head.msg }))
     | Notify (o, c) ->
+        let n = (o, c) in
         let w =
-          { w with pending_notifs = List.filter (fun n -> not (pair_equal n (o, c))) w.pending_notifs }
+          {
+            w with
+            pending_notifs = List.filter (fun n' -> not (pair_equal n' n)) w.pending_notifs;
+            sum = w.sum - pair_item notif_tag n;
+          }
         in
         step_node trace w (Node_id.of_int o) (Protocol.Crash (Node_id.of_int c))
     | Drop (s, d) -> (
         let key = (s, d) in
-        match Channel_map.find_opt key w.channels with
-        | None | Some [] -> assert false
-        | Some (_ :: rest) ->
-            {
-              w with
-              drops_left = w.drops_left - 1;
-              channels =
-                (if rest = [] then Channel_map.remove key w.channels
-                 else Channel_map.add key rest w.channels);
-            })
+        let c = Channel_map.find key w.channels in
+        match c.queue with
+        | Empty -> assert false
+        | Msg head -> { (put_channel w key c.queue_fp head.next) with drops_left = w.drops_left - 1 })
     | Dup (s, d) -> (
         let key = (s, d) in
-        match Channel_map.find_opt key w.channels with
-        | None | Some [] -> assert false
-        | Some (msg :: _ as queue) ->
+        let c = Channel_map.find key w.channels in
+        match c.queue with
+        | Empty -> assert false
+        | Msg head ->
             {
-              w with
+              (put_channel w key c.queue_fp (enqueue c.queue head.msg head.msg_fp)) with
               dups_left = w.dups_left - 1;
-              channels = Channel_map.add key (queue @ [ msg ]) w.channels;
             })
   in
   (* A quiescent leaf ends a schedule: no move is enabled. *)
@@ -459,14 +517,16 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
   in
   (* -------------------- initial world ------------------------------ *)
   let initial =
+    let alive =
+      Node_set.fold
+        (fun p acc ->
+          let state = Protocol.init ~self:p in
+          Node_map.add p { state; fp = Protocol.fingerprint value_fp state } acc)
+        (Graph.nodes graph) Node_map.empty
+    in
     let w =
       {
-        alive =
-          Node_set.fold
-            (fun p acc ->
-              let state = Protocol.init ~self:p in
-              Node_map.add p { state; fp = Protocol.fingerprint value_fp state } acc)
-            (Graph.nodes graph) Node_map.empty;
+        alive;
         crashed = Node_set.empty;
         channels = Channel_map.empty;
         pending_crashes = crashes;
@@ -478,6 +538,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
           (match channel with `Reliable_fifo -> 0 | `Lossy { max_drops; _ } -> max_drops);
         dups_left =
           (match channel with `Reliable_fifo -> 0 | `Lossy { max_dups; _ } -> max_dups);
+        sum = Node_map.fold (fun p node sum -> sum + node_item p node.fp) alive 0;
       }
     in
     (* Initialisation is not a scheduling choice: all nodes boot before

@@ -7,11 +7,16 @@
     deduplicated by an int fingerprint, so the search is over the
     reachable state graph rather than the (much larger) tree of
     schedules.  A world keeps each live node's
-    {!Cliffedge.Protocol.fingerprint} beside its state; a move steps one
-    node, so only that node is rehashed, and the world's fingerprint
-    mixes the cached ints with the channels and pending lists.
-    Counterexample traces are kept as moves and rendered only for the
-    violations reported.
+    {!Cliffedge.Protocol.fingerprint} beside its state and each queued
+    message beside its hash, taken once when it is sent, and carries
+    one more int: the wrap-around sum of one tagged, fully mixed hash
+    per item (each live node's fingerprint under its id, each channel's
+    queue, each subscription, each pending notification and each
+    decision).  A move adds the hashes of the items it creates and
+    subtracts those it removes, so it hashes what it changed, and the
+    world's fingerprint mixes that sum with the crashed set, the
+    pending crashes and the loss budgets.  Counterexample traces are
+    kept as moves and rendered only for the violations reported.
 
     The properties are {!Cliffedge.Checker}'s.  At each [Decide] action
     the explorer hands the new decision to

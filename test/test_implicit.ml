@@ -104,6 +104,36 @@ let prop_geometry_queries_agree =
            (Graph.connected_components impl s)
            (Graph.connected_components mat s))
 
+(* --- Graph.is_region = the BFS definition ---------------------------- *)
+
+(* [is_region] answers from the components memo, [is_connected_subset]
+   by a breadth-first walk of the set.  Subsets: empty, sparse random,
+   a connected region, or a region with one more random node; a quarter
+   of them also hold an id outside the graph.  Each is asked twice, so
+   the second answer comes from the memo. *)
+let prop_is_region_is_bfs =
+  QCheck2.Test.make ~name:"is_region = BFS connectivity, stored and implicit" ~count:200
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let impl = Prng.choose rng (implicit_pool (Prng.int rng 0x3fffffff)) in
+      let g = if Prng.bool rng then impl else Graph.materialize impl in
+      let n = Graph.node_count g in
+      let region () = Fault_gen.connected_region rng g ~size:(1 + Prng.int rng 6) in
+      let s =
+        match Prng.int rng 4 with
+        | 0 -> Node_set.empty
+        | 1 -> Node_set.random_subset rng (Graph.nodes g) ~keep_probability:0.05
+        | 2 -> region ()
+        | _ -> Node_set.add (Node_id.of_int (Prng.int rng n)) (region ())
+      in
+      let s =
+        if Int.equal (Prng.int rng 4) 0 then Node_set.add (Node_id.of_int (n + Prng.int rng 3)) s
+        else s
+      in
+      let bfs = Graph.is_connected_subset g s in
+      Bool.equal (Graph.is_region g s) bfs && Bool.equal (Graph.is_region g s) bfs)
+
 (* --- incremental geometry = batch recompute ------------------------- *)
 
 let geometry_pool rng =
@@ -286,5 +316,6 @@ let suite =
       Alcotest.test_case "Node_set.full" `Quick test_node_set_full;
       QCheck_alcotest.to_alcotest prop_kernel_consistent;
       QCheck_alcotest.to_alcotest prop_geometry_queries_agree;
+      QCheck_alcotest.to_alcotest prop_is_region_is_bfs;
       QCheck_alcotest.to_alcotest prop_incremental_matches_recompute;
     ] )

@@ -99,6 +99,32 @@ let test_star5_hub_pinned () =
   Alcotest.(check int) "leaves" 5 stats.leaves;
   Alcotest.(check bool) "ok" true (Explorer.ok stats)
 
+(* Worlds large enough that a move which left the world's hash sum
+   stale, or an item hash that two distinct items share, would merge
+   or split states and move these counts. *)
+let check_counts (states, transitions, leaves, violations, truncated) stats =
+  Alcotest.(check int) "states" states stats.Explorer.states_explored;
+  Alcotest.(check int) "transitions" transitions stats.transitions;
+  Alcotest.(check int) "leaves" leaves stats.leaves;
+  Alcotest.(check int) "violations" violations (List.length stats.violations);
+  Alcotest.(check bool) "truncated" truncated stats.truncated
+
+let test_star6_hub_bounded_pinned () =
+  check_counts (50_000, 366_269, 1, 0, true)
+    (Explorer.explore ~max_states:50_000 ~graph:(Topology.star 6) ~crashes:[ n 0 ] ())
+
+let test_torus3x3_bounded_pinned () =
+  check_counts (100_000, 662_069, 2, 0, true)
+    (Explorer.explore ~max_states:100_000 ~graph:(Topology.torus 3 3)
+       ~crashes:[ n 4; n 5 ] ())
+
+let test_star4_lossy_pinned () =
+  (* The Drop and Dup moves. *)
+  check_counts (12_572, 51_211, 28, 0, false)
+    (Explorer.explore
+       ~channel:(`Lossy { Explorer.max_drops = 1; max_dups = 1 })
+       ~graph:(Topology.star 4) ~crashes:[ n 0 ] ())
+
 let test_no_crashes_trivial () =
   let stats = Explorer.explore ~graph:(Topology.path 3) ~crashes:[] () in
   Alcotest.(check bool) "ok" true (Explorer.ok stats);
@@ -124,6 +150,9 @@ let suite =
       Alcotest.test_case "truncation reported" `Quick test_truncation_reported;
       Alcotest.test_case "deterministic" `Quick test_deterministic;
       Alcotest.test_case "star5 hub pinned" `Quick test_star5_hub_pinned;
+      Alcotest.test_case "star6 hub bounded pinned" `Quick test_star6_hub_bounded_pinned;
+      Alcotest.test_case "torus3x3 bounded pinned" `Quick test_torus3x3_bounded_pinned;
+      Alcotest.test_case "star4 lossy pinned" `Quick test_star4_lossy_pinned;
       Alcotest.test_case "no crashes" `Quick test_no_crashes_trivial;
     ] )
 
