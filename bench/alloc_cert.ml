@@ -3,13 +3,13 @@
    Each row drives one code path for real and pins its Gc.minor_words
    delta per operation against a budget quoted here and at the source
    site: the node-set and opinion-vector queries, the node-set folds, a
-   region test on a view already seen, the engine heap, a
+   region test on a view already seen, a neighbour query on a node
+   already seen, the engine heap, a
    stale and a merged Deliver, the model checker's fingerprint, the
    detector's re-registration, one log record and two whole delivery
    paths.  This is the only gate on those claims (DESIGN.md §12), and
    it runs under `dune runtest` through @bench-smoke; the per-row
-   numbers also flow into the BENCH_PR*.json `alloc_cert` section,
-   where `bench compare` ratchets them by row name.
+   numbers also land in the `--json` file's `alloc_cert` section.
 
    Budgets are exact small-word counts (a result tuple is 3 words, an
    engine event its entry and boxed time), with 1/16 word of slack for
@@ -105,6 +105,22 @@ let graph_is_region_entry () =
     name = "graph is_region (view already seen)";
     budget = 0.0;
     thunk = (fun () -> ignore (Sys.opaque_identity (Graph.is_region graph view)));
+  }
+
+(* lib/graph/graph.ml neighbours on a node already asked about, as the
+   protocol's Init and the runner's crash handling ask it: one hit in
+   the neighbour memo (the warmup asks first), on a stored ring and on
+   a kernel ring alike. *)
+let graph_neighbours_entry () =
+  let stored = Topology.ring 32 and kernel = Topology.implicit_ring 1_000_000 in
+  let p = Node_id.of_int 5 in
+  {
+    name = "graph neighbours (node already seen)";
+    budget = 0.0;
+    thunk =
+      (fun () ->
+        ignore (Sys.opaque_identity (Graph.neighbours stored p));
+        ignore (Sys.opaque_identity (Graph.neighbours kernel p)));
   }
 
 (* lib/sim/engine.ml: one schedule and one step against a queue holding
@@ -313,6 +329,7 @@ let entries () =
     node_set_entry ();
     node_set_folds_entry ();
     graph_is_region_entry ();
+    graph_neighbours_entry ();
     opinion_merge_entry ();
     protocol_merge_entry ();
     protocol_stale_entry ();

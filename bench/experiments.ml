@@ -1191,18 +1191,33 @@ let trace_smoke () =
   Json_out.record ~section:"trace"
     [ ("x16_drop20_arq", Obs.Metrics.to_json metrics) ]
 
-(* Minor words allocated by one checked agreement (Runner.run then
+(* Words allocated so far: minor plus major minus promoted, so that an
+   array allocated straight in the major heap counts too, which
+   [Gc.minor_words] alone does not see.  The minor part is
+   [Gc.minor_words], exact at any point: on OCaml 5.1 the first field of
+   [Gc.counters] reads only an eighth of what the minor heap has taken
+   since the last minor collection. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Words allocated by one checked agreement (Runner.run then
    Checker.check) on an 8-node compact region seeded at node [seed] of
-   a fresh [n]-node implicit ring.  The graph is fresh so that every
-   placement starts from empty memos. *)
-let region_run_words ?(n = 1_000_000) seed =
-  let graph = Topology.implicit_ring n in
+   a fresh [graph ()], the graph and the region built inside the
+   measured span: a stored graph pays for its first geometric query
+   there, and every placement starts from empty memos. *)
+let region_run_words graph seed =
+  let before = allocated_words () in
+  let graph = graph () in
   let region = Fault_gen.compact_region graph ~seed_node:(Node_id.of_int seed) ~size:8 in
   let crashes = Fault_gen.crash_at 10.0 region in
-  let before = Gc.minor_words () in
   let outcome = Runner.run ~graph ~crashes ~propose_value:Scenario.default_propose () in
   assert (Checker.ok (Checker.check ~value_equal:String.equal outcome));
-  Gc.minor_words () -. before
+  allocated_words () -. before
+
+(* A stored ring of 64 nodes whose ids run from [base]. *)
+let stored_ring64 base =
+  Graph.of_edges (List.init 64 (fun i -> (base + i, base + ((i + 1) mod 64))))
 
 (* CPU microseconds per transition of [runs] explorations. *)
 let explore_us_per_transition ?max_states ~runs graph crashes =
@@ -1243,12 +1258,14 @@ let explorer_cost_per_move () =
    largen section the numbers are recorded in.  Last, the same
    agreement at the bottom and at the top of a million-node id range,
    and just below 2^40 on a 2^40-node ring, must allocate within 2x of
-   the bottom one: a run's cost follows its region, not the magnitude
-   of the region's ids.  And the explorer's cost per move must not grow
-   with the world: a transition on star:6 to 50 000 states may cost at
-   most 1.5x one on X10's ring6 cascade, both timed in this process so
-   that the host's speed cancels out (1.9-2.4x while [world_fp] folded
-   the whole world at every state). *)
+   the bottom one, and so must one on a stored 64-ring whose ids start
+   just below 2^40 against one whose ids start at 100: a run's cost
+   follows its region, not the magnitude of the region's ids, whether
+   the graph is generated or stored.  And the explorer's cost per move
+   must not grow with the world: a transition on star:6 to 50 000
+   states may cost at most 1.5x one on X10's ring6 cascade, both timed
+   in this process so that the host's speed cancels out (1.9-2.4x
+   while [world_fp] folded the whole world at every state). *)
 let largen_smoke () =
   let n = 100_000 in
   let ce, ce_ms = implicit_ring_run n in
@@ -1263,14 +1280,23 @@ let largen_smoke () =
     per_crash_us resident;
   assert (per_crash_us <= 500.0);
   assert (resident <= 65_536);
-  let low = region_run_words 100 and high = region_run_words 999_900 in
-  let huge = region_run_words ~n:(1 lsl 40) ((1 lsl 40) - 100) in
+  let ring n () = Topology.implicit_ring n and top = 1 lsl 40 in
+  let low = region_run_words (ring 1_000_000) 100
+  and high = region_run_words (ring 1_000_000) 999_900 in
+  let huge = region_run_words (ring top) (top - 100) in
   Format.printf
-    "id magnitude (implicit ring, N=10^6, 8-node region): %.0f minor words at id 100, \
+    "id magnitude (implicit ring, N=10^6, 8-node region): %.0f words at id 100, \
      %.0f at id 999900 (%.2fx); N=2^40: %.0f at id 2^40-100 (%.2fx)@."
     low high (high /. low) huge (huge /. low);
   assert (high <= 2.0 *. low);
   assert (huge <= 2.0 *. low);
+  let stored_low = region_run_words (fun () -> stored_ring64 100) 100
+  and stored_huge = region_run_words (fun () -> stored_ring64 (top - 100)) (top - 100) in
+  Format.printf
+    "id magnitude (stored 64-ring, 8-node region): %.0f words from id 100, %.0f from \
+     id 2^40-100 (%.2fx)@."
+    stored_low stored_huge (stored_huge /. stored_low);
+  assert (stored_huge <= 2.0 *. stored_low);
   let star6, ring6 = explorer_cost_per_move () in
   Format.printf
     "explorer cost per move: %.2f us per transition on star:6 (hub crash, to 50000 \
@@ -1290,9 +1316,15 @@ let largen_smoke () =
       ( "id_magnitude_1m",
         Cliffedge_report.Json.Obj
           [
-            ("minor_words_at_id_100", Cliffedge_report.Json.Float low);
-            ("minor_words_at_id_999900", Cliffedge_report.Json.Float high);
-            ("minor_words_at_id_2p40_minus_100", Cliffedge_report.Json.Float huge);
+            ("words_at_id_100", Cliffedge_report.Json.Float low);
+            ("words_at_id_999900", Cliffedge_report.Json.Float high);
+            ("words_at_id_2p40_minus_100", Cliffedge_report.Json.Float huge);
+          ] );
+      ( "id_magnitude_stored_ring64",
+        Cliffedge_report.Json.Obj
+          [
+            ("words_from_id_100", Cliffedge_report.Json.Float stored_low);
+            ("words_from_id_2p40_minus_100", Cliffedge_report.Json.Float stored_huge);
           ] );
       ( "explorer_us_per_transition",
         Cliffedge_report.Json.Obj

@@ -171,22 +171,11 @@ let compare_files ~threshold ~alloc_threshold baseline candidate =
         Printf.eprintf "bench: %s has no micro section\n" file;
         exit 1
   in
-  (* The alloc_cert section (per-row Gc.minor_words deltas from
-     `bench alloc`) ratchets like the micro allocation counters when
-     both files carry it; baselines that predate the section simply
-     skip it, and a baseline row the candidate lacks is noted like a
-     missing micro row, so a deleted or renamed row leaves a trace. *)
-  let alloc_cert root =
-    match Json.member "alloc_cert" root with
-    | Some (Json.Obj fields) -> fields
-    | Some _ | None -> []
-  in
   let old_root = load baseline and new_root = load candidate in
   let old_micro = micro baseline old_root in
   let new_micro = micro candidate new_root in
   let regressions = ref [] in
   let compared = ref 0 and skipped = ref 0 and alloc_missing = ref 0 in
-  let alloc_skipped = ref 0 in
   let check ~name ~metric ~pct ~slack old_v new_v =
     incr compared;
     let limit = (old_v *. (1.0 +. (pct /. 100.0))) +. slack in
@@ -231,8 +220,8 @@ let compare_files ~threshold ~alloc_threshold baseline candidate =
                  does not scale with the iteration count): there is no
                  honest ratio to ratchet, so it degrades like a
                  missing counter.  Genuinely zero-alloc paths are
-                 gated by the alloc_cert section below, whose counts
-                 come from direct Gc.minor_words deltas. *)
+                 gated by `bench alloc`'s budgets, whose counts come
+                 from direct Gc.minor_words deltas. *)
               | Some _, Some _ -> incr alloc_missing
               (* Pre-PR6 baselines predate the allocation counters:
                  degrade to the time ratchet with a visible warning
@@ -241,20 +230,6 @@ let compare_files ~threshold ~alloc_threshold baseline candidate =
               | _ -> ())
             [ "minor_words_per_run"; "major_words_per_run" ])
     old_micro;
-  List.iter
-    (fun (name, old_entry) ->
-      match List.assoc_opt name (alloc_cert new_root) with
-      | None -> incr alloc_skipped
-      | Some new_entry -> (
-          match
-            ( get_number "minor_words_per_op" old_entry,
-              get_number "minor_words_per_op" new_entry )
-          with
-          | Some old_v, Some new_v ->
-              check ~name:("alloc: " ^ name) ~metric:"minor_words_per_op"
-                ~pct:alloc_threshold ~slack:0.5 old_v new_v
-          | _ -> ()))
-    (alloc_cert old_root);
   if !alloc_missing > 0 then
     Printf.printf
       "  warning: %d allocation counter(s) absent from or unmeasured (0.0) \
@@ -263,9 +238,6 @@ let compare_files ~threshold ~alloc_threshold baseline candidate =
   if !skipped > 0 then
     Printf.printf "  (%d baseline benchmark(s) absent from %s: skipped)\n"
       !skipped candidate;
-  if !alloc_skipped > 0 then
-    Printf.printf "  (%d baseline alloc_cert row(s) absent from %s: skipped)\n"
-      !alloc_skipped candidate;
   match !regressions with
   | [] ->
       Printf.printf "compare ok: %d metric(s) within thresholds\n" !compared

@@ -25,7 +25,7 @@ val hash : t -> int
 module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by identifier, holding only the ids a run
     touches, whatever their magnitude: the runner's nodes, the crash
-    record, the detector's subscription rows, the implicit graph's
+    record, the detector's subscription rows, each graph's
     neighbour memo, and the channel rows of the network, the ARQ and
     the message counts (source -> destination -> the pair's record). *)
 

@@ -217,8 +217,8 @@ let random_geometric rng n ~radius =
 (* ------------------------------------------------------------------ *)
 (* Implicit (generator-backed) topologies.
 
-   Each returns a {!Graph.implicit} kernel: a pure function from a node
-   id to its neighbour ids, never materializing the adjacency.  The
+   Each returns a {!Graph.implicit} graph over a kernel: a pure function
+   from a node id to its neighbour ids, never storing the adjacency.  The
    ring and torus kernels produce edge-for-edge the same graphs as the
    stored builders above; the random families are seed-deterministic
    but use hash-based placement instead of sequential PRNG draws, since
@@ -226,29 +226,18 @@ let random_geometric rng n ~radius =
 
 let implicit_ring n =
   require "implicit_ring" (Implicit_ring n);
-  Graph.implicit ~n
-    ~degree:(fun _ -> 2)
-    ~iter_neighbours:(fun i f ->
+  Graph.implicit ~n ~iter_neighbours:(fun i f ->
       f ((i + 1) mod n);
       f ((i + n - 1) mod n))
-    ~max_degree:2 ~edge_count:n
-    ~label:(Printf.sprintf "ring:%d" n)
-    ()
 
 let implicit_torus w h =
   require "implicit_torus" (Implicit_torus (w, h));
-  Graph.implicit ~n:(w * h)
-    ~degree:(fun _ -> 4)
-    ~iter_neighbours:(fun i f ->
+  Graph.implicit ~n:(w * h) ~iter_neighbours:(fun i f ->
       let x = i mod w and y = i / w in
       f ((y * w) + ((x + 1) mod w));
       f ((y * w) + ((x + w - 1) mod w));
       f ((((y + 1) mod h) * w) + x);
       f ((((y + h - 1) mod h) * w) + x))
-    ~max_degree:4
-    ~edge_count:(2 * w * h)
-    ~label:(Printf.sprintf "torus:%dx%d" w h)
-    ()
 
 (* splitmix-style avalanche over the native 62/63-bit int; constants fit
    comfortably below [max_int] on 64-bit platforms.  Purely arithmetic —
@@ -273,7 +262,8 @@ let unit_float seed x =
    scans only the ~[9 n / g²] ids hashed into that block.  The spatial
    law matches [random_geometric] (uniform points, radius threshold) but
    the point set differs — differential tests compare the kernel against
-   its own materialization, not against the PRNG-driven builder. *)
+   a graph stored from its own edge list, not against the PRNG-driven
+   builder. *)
 let implicit_geometric ~seed n ~radius =
   require "implicit_geometric" (Implicit_geometric (n, radius));
   let g = Int.max 1 (int_of_float (1.0 /. radius)) in
@@ -308,16 +298,8 @@ let implicit_geometric ~seed n ~radius =
       done
     done
   in
-  let per_cell = ((n - 1) / cells) + 1 in
-  Graph.implicit ~n
-    ~degree:(fun i ->
-      let d = ref 0 in
-      iter_block i (fun j -> if close i j then incr d);
-      !d)
-    ~iter_neighbours:(fun i f -> iter_block i (fun j -> if close i j then f j))
-    ~max_degree:(9 * per_cell)
-    ~label:(Printf.sprintf "geo:%d:%g" n radius)
-    ()
+  Graph.implicit ~n ~iter_neighbours:(fun i f ->
+      iter_block i (fun j -> if close i j then f j))
 
 (* --- Seeded Feistel permutations (for the power-law kernel) --------- *)
 
@@ -384,7 +366,7 @@ let perm_inv ~seed m y =
    [σ(s) = ψ(ψ⁻¹(s) lxor 1)] — an involution with no fixed points, so
    stub pairing is symmetric by construction.  Self-loops (partner stub
    on the same node) are skipped; candidates are deduped so multi-edges
-   collapse and [degree] agrees with the neighbour-set cardinality. *)
+   collapse and each neighbour is listed once. *)
 let implicit_power_law ~seed n =
   require "implicit_power_law" (Implicit_power_law n);
   let rec largest_k k = if (1 lsl (k + 2)) - 1 <= n then largest_k (k + 1) else k in
@@ -423,12 +405,7 @@ let implicit_power_law ~seed n =
     end;
     List.sort_uniq Int.compare !acc
   in
-  Graph.implicit ~n
-    ~degree:(fun i -> List.length (candidates i))
-    ~iter_neighbours:(fun i f -> List.iter f (candidates i))
-    ~max_degree:(block_stubs + 2)
-    ~label:(Printf.sprintf "plaw:%d" n)
-    ()
+  Graph.implicit ~n ~iter_neighbours:(fun i f -> List.iter f (candidates i))
 
 let build rng = function
   | Ring n -> ring n

@@ -7,13 +7,15 @@
     Random families take a {!Cliffedge_prng.Prng.t} so that a topology is
     a pure function of its seed.
 
-    The [implicit_*] builders return generator-backed {!Graph.implicit}
-    values instead of stored adjacency: neighbourhoods are pure functions
-    of the node id (and a seed), so a million-node topology costs nothing
-    until queried.  [implicit_ring]/[implicit_torus] produce edge-for-edge
-    the same graphs as their stored counterparts; the implicit random
-    families follow the same distributions but hash-based placement, so
-    they differ sample-wise from the PRNG-driven builders. *)
+    Every builder returns the one {!Graph.t}.  The others store their
+    edges in an adjacency map; the [implicit_*] builders hand
+    {!Graph.implicit} a kernel instead: neighbourhoods are pure
+    functions of the node id (and a seed), so a million-node topology
+    costs nothing until queried.  [implicit_ring]/[implicit_torus]
+    produce edge-for-edge the same graphs as their stored counterparts;
+    the implicit random families follow the same distributions but
+    hash-based placement, so they differ sample-wise from the
+    PRNG-driven builders. *)
 
 type spec =
   | Ring of int
@@ -101,7 +103,7 @@ val implicit_power_law : seed:int -> int -> Graph.t
     queried node's own stubs. *)
 
 val build : Cliffedge_prng.Prng.t -> spec -> Graph.t
-(** Materializes a symbolic description.  For the seeded implicit
+(** Builds the graph a symbolic description names.  For the seeded implicit
     families, one integer is drawn from the PRNG to fix the kernel
     seed. *)
 

@@ -26,11 +26,9 @@ let connected_region_from rng graph ~seed_node ~size =
   validate graph size;
   grow rng graph ~seed_node ~size
 
-(* An implicit graph's nodes are [0, n), whose k-th element is k: the
-   same draw as [random_element] over them, without building them. *)
-let random_node rng graph =
-  if Graph.is_implicit graph then Node_id.of_int (Prng.int rng (Graph.node_count graph))
-  else Node_set.random_element rng (Graph.nodes graph)
+(* The same draw as [random_element] over [Graph.nodes], without
+   building them. *)
+let random_node rng graph = Graph.nth_node graph (Prng.int rng (Graph.node_count graph))
 
 let connected_region rng graph ~size =
   validate graph size;

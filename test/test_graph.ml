@@ -13,23 +13,23 @@ let fixture =
 
 let test_empty () =
   Alcotest.(check int) "nodes" 0 (Graph.node_count Graph.empty);
-  Alcotest.(check int) "edges" 0 (Graph.edge_count Graph.empty);
+  Alcotest.(check int) "edges" 0 (List.length (Graph.edges Graph.empty));
   Alcotest.(check bool) "not connected" false (Graph.is_connected Graph.empty)
 
 let test_add_node_idempotent () =
   let g = Graph.add_node (node 3) (Graph.add_node (node 3) Graph.empty) in
   Alcotest.(check int) "one node" 1 (Graph.node_count g);
-  Alcotest.(check int) "degree 0" 0 (Graph.degree g (node 3))
+  Alcotest.(check bool) "no neighbours" true (Node_set.is_empty (Graph.neighbours g (node 3)))
 
 let test_add_edge () =
   let g = Graph.of_edges [ (0, 1) ] in
   Alcotest.(check bool) "mem 0-1" true (Graph.mem_edge (node 0) (node 1) g);
   Alcotest.(check bool) "mem 1-0 (undirected)" true (Graph.mem_edge (node 1) (node 0) g);
-  Alcotest.(check int) "edge count" 1 (Graph.edge_count g)
+  Alcotest.(check int) "edge count" 1 (List.length (Graph.edges g))
 
 let test_add_edge_idempotent () =
   let g = Graph.of_edges [ (0, 1); (1, 0); (0, 1) ] in
-  Alcotest.(check int) "one edge" 1 (Graph.edge_count g)
+  Alcotest.(check int) "one edge" 1 (List.length (Graph.edges g))
 
 let test_self_loop_rejected () =
   Alcotest.check_raises "self loop" (Invalid_argument "Graph.add_edge: self-loop")
@@ -40,11 +40,6 @@ let test_neighbours () =
     (Node_set.equal (set [ 1; 3; 5 ]) (Graph.neighbours fixture (node 2)));
   Alcotest.(check bool) "absent node" true
     (Node_set.is_empty (Graph.neighbours fixture (node 99)))
-
-let test_degree () =
-  Alcotest.(check int) "deg 0" 1 (Graph.degree fixture (node 0));
-  Alcotest.(check int) "deg 2" 3 (Graph.degree fixture (node 2));
-  Alcotest.(check int) "max degree" 3 (Graph.max_degree fixture)
 
 let test_edges_listing () =
   Alcotest.(check int) "six edges" 6 (List.length (Graph.edges fixture));
@@ -73,7 +68,7 @@ let test_closed_neighbourhood () =
 let test_induced () =
   let sub = Graph.induced fixture (set [ 2; 3; 5 ]) in
   Alcotest.(check int) "nodes" 3 (Graph.node_count sub);
-  Alcotest.(check int) "edges" 3 (Graph.edge_count sub);
+  Alcotest.(check int) "edges" 3 (List.length (Graph.edges sub));
   Alcotest.(check bool) "no external node" false (Graph.mem_node (node 1) sub)
 
 let test_connected_components () =
@@ -103,25 +98,6 @@ let test_is_connected_whole () =
   Alcotest.(check bool) "fixture connected" true (Graph.is_connected fixture);
   let two = Graph.of_edges [ (0, 1); (2, 3) ] in
   Alcotest.(check bool) "two islands" false (Graph.is_connected two)
-
-let test_bfs_distances () =
-  let d = Graph.bfs_distances fixture (node 0) in
-  let dist i = Node_map.find (node i) d in
-  Alcotest.(check int) "d(0)" 0 (dist 0);
-  Alcotest.(check int) "d(1)" 1 (dist 1);
-  Alcotest.(check int) "d(4)" 4 (dist 4);
-  Alcotest.(check int) "d(5)" 3 (dist 5)
-
-let test_bfs_unreachable () =
-  let g = Graph.add_node (node 9) fixture in
-  let d = Graph.bfs_distances g (node 0) in
-  Alcotest.(check bool) "unreachable absent" true (not (Node_map.mem (node 9) d))
-
-let test_ball () =
-  Alcotest.(check bool) "radius 1" true
-    (Node_set.equal (set [ 1; 2; 3; 5 ]) (Graph.ball fixture (node 2) ~radius:1));
-  Alcotest.(check bool) "radius 0" true
-    (Node_set.equal (set [ 2 ]) (Graph.ball fixture (node 2) ~radius:0))
 
 (* Property tests over random graphs. *)
 
@@ -185,7 +161,6 @@ let suite =
       Alcotest.test_case "add_edge idempotent" `Quick test_add_edge_idempotent;
       Alcotest.test_case "self-loop rejected" `Quick test_self_loop_rejected;
       Alcotest.test_case "neighbours" `Quick test_neighbours;
-      Alcotest.test_case "degree" `Quick test_degree;
       Alcotest.test_case "edges listing" `Quick test_edges_listing;
       Alcotest.test_case "border" `Quick test_border;
       Alcotest.test_case "closed neighbourhood" `Quick test_closed_neighbourhood;
@@ -195,9 +170,6 @@ let suite =
         test_connected_components_ignores_foreign;
       Alcotest.test_case "is_connected_subset" `Quick test_is_connected_subset;
       Alcotest.test_case "is_connected" `Quick test_is_connected_whole;
-      Alcotest.test_case "bfs distances" `Quick test_bfs_distances;
-      Alcotest.test_case "bfs unreachable" `Quick test_bfs_unreachable;
-      Alcotest.test_case "ball" `Quick test_ball;
       QCheck_alcotest.to_alcotest prop_border_disjoint;
       QCheck_alcotest.to_alcotest prop_components_partition;
       QCheck_alcotest.to_alcotest prop_induced_edge_subset;

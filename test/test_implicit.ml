@@ -1,10 +1,10 @@
 (* Differential validation of the implicit-topology kernels and the
    incremental fault-geometry tracker, plus runs at large node ids:
-   every generator-backed graph must agree query-for-query with its
-   materialized counterpart, [Incr_geometry] must agree with
-   [Fault_geometry.compute] after every crash of a random sequence, and
-   neither a run nor its accounting may depend on how large the ids
-   are. *)
+   every generator-backed graph must agree query-for-query with the
+   graph stored from its own vertex and edge lists, [Incr_geometry]
+   must agree with [Fault_geometry.compute] after every crash of a
+   random sequence, and neither a run nor its accounting may depend on
+   how large the ids are. *)
 
 open Cliffedge_graph
 module Prng = Cliffedge_prng.Prng
@@ -23,18 +23,27 @@ let edge_list g =
     (fun (p, q) -> (Node_id.to_int p, Node_id.to_int q))
     (Graph.edges g)
 
+(* The graph stored from a kernel's own vertex and edge lists. *)
+let stored_copy g =
+  Node_set.fold Graph.add_node (Graph.nodes g) (Graph.of_edge_ids (Graph.edges g))
+
 (* --- exact kernels: ring and torus match the stored builders -------- *)
 
 let test_ring_kernel () =
   List.iter
     (fun n ->
       let stored = Topology.ring n and impl = Topology.implicit_ring n in
-      Alcotest.(check bool) "implicit flag" true (Graph.is_implicit impl);
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "ring %d edges" n)
         (edge_list stored) (edge_list impl);
       Alcotest.(check int) "node count" n (Graph.node_count impl);
-      Alcotest.(check int) "edge count" n (Graph.edge_count impl))
+      Alcotest.(check int) "edge count" n (List.length (Graph.edges impl));
+      (* Extending a kernel graph extends the map built from it. *)
+      let chord = (0, n / 2) in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "ring %d plus a chord" n)
+        (List.sort_uniq compare (chord :: edge_list stored))
+        (edge_list (Graph.add_edge (Node_id.of_int 0) (Node_id.of_int (n / 2)) impl)))
     [ 3; 4; 10; 64; 257 ]
 
 let test_torus_kernel () =
@@ -46,16 +55,7 @@ let test_torus_kernel () =
         (edge_list stored) (edge_list impl))
     [ (3, 3); (4, 5); (8, 8) ]
 
-let test_materialize_identity () =
-  let impl = Topology.implicit_ring 12 in
-  let mat = Graph.materialize impl in
-  Alcotest.(check bool) "materialized is stored" false (Graph.is_implicit mat);
-  Alcotest.(check (list (pair int int))) "same edges" (edge_list impl) (edge_list mat);
-  Alcotest.check_raises "add_edge on implicit raises"
-    (Invalid_argument "Graph.add_edge: graph is implicit (Graph.materialize it first)")
-    (fun () -> ignore (Graph.add_edge (Node_id.of_int 0) (Node_id.of_int 5) impl))
-
-(* --- kernel well-formedness: symmetry, degree, materialization ------ *)
+(* --- kernel well-formedness: symmetry, each neighbour once ---------- *)
 
 let implicit_pool seed =
   [
@@ -66,43 +66,46 @@ let implicit_pool seed =
   ]
 
 let prop_kernel_consistent =
-  QCheck2.Test.make ~name:"implicit kernels: symmetric, degree-consistent, = own materialization"
+  QCheck2.Test.make ~name:"implicit kernels: symmetric, each neighbour once, = own edge list"
     ~count:40
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       List.for_all
         (fun impl ->
-          let mat = Graph.materialize impl in
+          let stored = stored_copy impl in
           let n = Graph.node_count impl in
-          List.for_all
-            (fun i ->
-              let p = Node_id.of_int i in
-              let ni = Graph.neighbours impl p in
-              Node_set.equal ni (Graph.neighbours mat p)
-              && Int.equal (Graph.degree impl p) (Node_set.cardinal ni)
-              && Node_set.for_all
-                   (fun q -> Node_set.mem p (Graph.neighbours impl q))
-                   ni)
-            (List.init n (fun i -> i)))
+          Int.equal (Graph.node_count stored) n
+          && List.for_all
+               (fun i ->
+                 let p = Node_id.of_int i in
+                 let ni = Graph.neighbours impl p in
+                 let listed = ref 0 in
+                 Graph.iter_neighbour_ids impl i (fun _ -> incr listed);
+                 Node_set.equal ni (Graph.neighbours stored p)
+                 && Int.equal !listed (Node_set.cardinal ni)
+                 && Node_set.for_all
+                      (fun q -> Node_set.mem p (Graph.neighbours impl q))
+                      ni)
+               (List.init n (fun i -> i)))
         (implicit_pool seed))
 
 let prop_geometry_queries_agree =
-  QCheck2.Test.make ~name:"implicit border/components = materialized" ~count:60
+  QCheck2.Test.make ~name:"implicit border/components = stored copy" ~count:60
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Prng.create seed in
       let impl = Prng.choose rng (implicit_pool (Prng.int rng 0x3fffffff)) in
-      let mat = Graph.materialize impl in
+      let stored = stored_copy impl in
       let s =
         Node_set.random_subset rng (Graph.nodes impl) ~keep_probability:0.3
       in
-      Node_set.equal (Graph.border impl s) (Graph.border mat s)
+      Node_set.equal (Graph.border impl s) (Graph.border stored s)
       && Node_set.equal
            (Graph.closed_neighbourhood impl s)
-           (Graph.closed_neighbourhood mat s)
+           (Graph.closed_neighbourhood stored s)
       && List.equal Node_set.equal
            (Graph.connected_components impl s)
-           (Graph.connected_components mat s))
+           (Graph.connected_components stored s))
 
 (* --- Graph.is_region = the BFS definition ---------------------------- *)
 
@@ -117,7 +120,7 @@ let prop_is_region_is_bfs =
     (fun seed ->
       let rng = Prng.create seed in
       let impl = Prng.choose rng (implicit_pool (Prng.int rng 0x3fffffff)) in
-      let g = if Prng.bool rng then impl else Graph.materialize impl in
+      let g = if Prng.bool rng then impl else stored_copy impl in
       let n = Graph.node_count g in
       let region () = Fault_gen.connected_region rng g ~size:(1 + Prng.int rng 6) in
       let s =
@@ -261,18 +264,24 @@ let test_stats_pairs_any_id () =
   Alcotest.(check int) "nodes involved" 6
     (Node_set.cardinal (Stats.communicating_nodes s))
 
-(* An agreement runs the same at any id: an 8-node region just past 2^31
-   and one just below 2^40 decide twice and check clean, over reliable
-   channels and over the ARQ on a lossy wire. *)
+(* An agreement runs the same at any id, on a kernel graph and on a
+   stored one: an 8-node region just past 2^31 and one just below 2^40
+   on implicit rings, and one on a stored 64-ring whose ids lie just
+   below 2^40, decide twice and check clean, over reliable channels and
+   over the ARQ on a lossy wire. *)
 let test_run_at_large_ids () =
   let lossy =
     Transport.Arq_over_faulty ({ Faults.none with drop = 0.2 }, Transport.default_policy)
   in
+  let top = 1 lsl 40 in
+  let stored_ring base =
+    Graph.of_edges (List.init 64 (fun i -> (base + i, base + ((i + 1) mod 64))))
+  in
   List.iter
-    (fun (n, seed_node) ->
+    (fun (ring, graph, seed_node) ->
       List.iter
         (fun (label, channel) ->
-          let graph = Topology.implicit_ring n in
+          let graph = graph () in
           let region =
             Fault_gen.compact_region graph ~seed_node:(Node_id.of_int seed_node) ~size:8
           in
@@ -282,12 +291,16 @@ let test_run_at_large_ids () =
               ~graph ~crashes:(Fault_gen.crash_at 10.0 region)
               ~propose_value:Scenario.default_propose ()
           in
-          let what = Printf.sprintf "region at %d of ring %d, %s" seed_node n label in
+          let what = Printf.sprintf "region at %d of %s, %s" seed_node ring label in
           Alcotest.(check int) (what ^ ": decisions") 2 (List.length outcome.decisions);
           Alcotest.(check bool) (what ^ ": checks clean") true
             (Checker.ok (Checker.check ~value_equal:String.equal outcome)))
         [ ("reliable", Transport.Reliable); ("lossy ARQ", lossy) ])
-    [ (1 lsl 32, (1 lsl 31) + 100); (1 lsl 40, (1 lsl 40) - 100) ]
+    [
+      ("implicit ring 2^32", (fun () -> Topology.implicit_ring (1 lsl 32)), (1 lsl 31) + 100);
+      ("implicit ring 2^40", (fun () -> Topology.implicit_ring top), top - 100);
+      ("stored 64-ring", (fun () -> stored_ring (top - 100)), top - 100);
+    ]
 
 let test_node_set_full () =
   List.iter
@@ -309,7 +322,6 @@ let suite =
     [
       Alcotest.test_case "ring kernel = stored ring" `Quick test_ring_kernel;
       Alcotest.test_case "torus kernel = stored torus" `Quick test_torus_kernel;
-      Alcotest.test_case "materialize" `Quick test_materialize_identity;
       Alcotest.test_case "memo residency capped" `Quick test_memo_cap;
       Alcotest.test_case "stats: distinct pairs at any id" `Quick test_stats_pairs_any_id;
       Alcotest.test_case "runs at any node id" `Quick test_run_at_large_ids;

@@ -10,15 +10,13 @@ let nonempty name s = Alcotest.(check bool) name true (String.length s > 3)
 
 let test_graph_printers () =
   let g = Topology.grid 3 3 in
-  nonempty "Graph.pp" (render Graph.pp g);
-  nonempty "Graph.pp_stats" (render Graph.pp_stats g);
   nonempty "Ranking.pp_rank" (render (Ranking.pp_rank g) (Node_set.of_ints [ 4 ]));
   nonempty "Fault_geometry.pp"
     (render Fault_geometry.pp (Fault_geometry.compute g ~faulty:(Node_set.of_ints [ 4 ])));
   nonempty "Topology.pp_spec" (render Topology.pp_spec (Topology.Grid (3, 3)))
 
 let test_empty_graph_printers () =
-  nonempty "empty graph" (render Graph.pp_stats Graph.empty);
+  nonempty "empty graph" (Dot.to_string Graph.empty);
   Alcotest.(check string) "empty set" "{}" (Node_set.to_string Node_set.empty)
 
 let test_protocol_printers () =
