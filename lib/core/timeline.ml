@@ -13,24 +13,28 @@ let pp ?(names = Node_id.Names.empty) ~value_to_string ppf (outcome : 'v Runner.
         value_to_string d.value
     | [] -> invalid_arg "Timeline.pp: a Decide event has no decision in the outcome"
   in
-  Obs.Log.iter outcome.obs (fun e ->
-      let line fmt =
-        Format.fprintf ppf "t=%9.2f  %-10s " e.Obs.Event.time
-          (Format.asprintf "%a" (Node_id.Names.pp names) e.Obs.Event.node);
-        Format.kfprintf (fun ppf -> Format.fprintf ppf "@.") ppf fmt
-      in
-      match (e.Obs.Event.kind, e.Obs.Event.instance) with
-      | Obs.Event.Crash, _ -> line "CRASHES"
-      | Obs.Event.Propose, Some v -> line "proposes %a" pp_view v
-      | Obs.Event.Reject, Some v -> line "rejects %a" pp_view v
-      | Obs.Event.Abort, Some v -> line "abandons attempt on %a" pp_view v
-      | Obs.Event.Round { round }, Some v -> line "enters round %d of %a" round pp_view v
-      | Obs.Event.Early_outcome { success }, Some v ->
-          line "broadcasts %s outcome for %a"
-            (if success then "successful" else "failed")
-            pp_view v
-      | Obs.Event.Decide, Some v -> line "DECIDES %S on %a" (decided ()) pp_view v
-      | _ -> ())
+  (* The log's field readers, as [Runner.fold_log] reads it: the time
+     and node only of the events that print a line. *)
+  let log = outcome.obs in
+  let line seq fmt =
+    Format.fprintf ppf "t=%9.2f  %-10s " (Obs.Log.time log seq)
+      (Format.asprintf "%a" (Node_id.Names.pp names) (Obs.Log.node log seq));
+    Format.kfprintf (fun ppf -> Format.fprintf ppf "@.") ppf fmt
+  in
+  for seq = 0 to Obs.Log.length log - 1 do
+    match (Obs.Log.kind log seq, Obs.Log.instance log seq) with
+    | Obs.Event.Crash, _ -> line seq "CRASHES"
+    | Obs.Event.Propose, Some v -> line seq "proposes %a" pp_view v
+    | Obs.Event.Reject, Some v -> line seq "rejects %a" pp_view v
+    | Obs.Event.Abort, Some v -> line seq "abandons attempt on %a" pp_view v
+    | Obs.Event.Round { round }, Some v -> line seq "enters round %d of %a" round pp_view v
+    | Obs.Event.Early_outcome { success }, Some v ->
+        line seq "broadcasts %s outcome for %a"
+          (if success then "successful" else "failed")
+          pp_view v
+    | Obs.Event.Decide, Some v -> line seq "DECIDES %S on %a" (decided ()) pp_view v
+    | _ -> ()
+  done
 
 let decision_latency (outcome : 'v Runner.outcome) =
   let crash_time p =

@@ -191,8 +191,10 @@ let add_node p t =
   let a = Lazy.force t.adjacency in
   if Node_map.mem p a then t else stored (Node_map.add p Node_set.empty a) ~n:(t.n + 1)
 
+let check_not_loop p q = if Node_id.equal p q then invalid_arg "Graph.add_edge: self-loop"
+
 let add_edge p q t =
-  if Node_id.equal p q then invalid_arg "Graph.add_edge: self-loop";
+  check_not_loop p q;
   let t = add_node p (add_node q t) in
   let a = Lazy.force t.adjacency in
   let np = Node_map.find p a in
@@ -201,7 +203,22 @@ let add_edge p q t =
     let a = Node_map.add q (Node_set.add p (Node_map.find q a)) a in
     stored (Node_map.add p (Node_set.add q np) a) ~n:t.n
 
-let of_edge_ids l = List.fold_left (fun g (p, q) -> add_edge p q g) empty l
+(* One adjacency map folded over the edges and wrapped once, so no
+   graph value is built per edge; a repeated edge adds a neighbour
+   already there. *)
+let of_edge_ids l =
+  let link p q a =
+    let np = match Node_map.find p a with s -> s | exception Not_found -> Node_set.empty in
+    Node_map.add p (Node_set.add q np) a
+  in
+  let a =
+    List.fold_left
+      (fun a (p, q) ->
+        check_not_loop p q;
+        link p q (link q p a))
+      Node_map.empty l
+  in
+  stored a ~n:(Node_map.cardinal a)
 
 let of_edges l =
   of_edge_ids (List.map (fun (i, j) -> (Node_id.of_int i, Node_id.of_int j)) l)

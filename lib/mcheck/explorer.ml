@@ -27,6 +27,7 @@ type stats = {
   leaves : int;
   violations : violation list;
   truncated : bool;
+  handle_calls : int;
 }
 
 let ok stats = stats.violations = [] && not stats.truncated
@@ -253,6 +254,47 @@ module Visited = struct
     end
 end
 
+(* The transition cache.  [Protocol.handle] is a pure function of the
+   config, a state and an event, and moves at different nodes commute,
+   so the same node-local step comes back in every interleaving that
+   reaches it.  Each step's result is kept under a key mixed from the
+   node's id, its cached fingerprint and the event's key (see
+   [step_node]); a later step of the same physical state on the same
+   event (for a delivery, from the same sender with the same physical
+   message) reuses the stored next node and actions instead of calling
+   [handle] and [Protocol.fingerprint] again.  A hit hands back what
+   [handle] returned for the same arguments, so it is exact, and since
+   the reused states are shared physically, the steps after a hit hit
+   too.  Physical identity needs no equality on states or messages.
+   Keys end in [mix], so they index the table as they are. *)
+type step = {
+  input : string Protocol.state;
+  event : string Protocol.event;
+  next : node;
+  actions : string Protocol.action list;
+}
+
+module Steps = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash key = key
+end)
+
+let same_event a b =
+  match (a, b) with
+  | Protocol.Init, Protocol.Init -> true
+  | Protocol.Crash q, Protocol.Crash q' -> Node_id.equal q q'
+  | Protocol.Deliver d, Protocol.Deliver d' -> Node_id.equal d.src d'.src && d.msg == d'.msg
+  | (Protocol.Init | Protocol.Crash _ | Protocol.Deliver _), _ -> false
+
+(* The step of [input] on [event] in [bucket].
+   @raise Not_found when there is none. *)
+let rec find_step input event = function
+  | [] -> raise Not_found
+  | s :: bucket ->
+      if s.input == input && same_event s.event event then s else find_step input event bucket
+
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
 
@@ -265,7 +307,10 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
         Printf.sprintf "plan(%d,%d)" (Node_id.to_int p) (Node_set.cardinal v))
       ()
   in
-  let visited = Visited.create () in
+  (* 256 buckets: an array the minor heap takes, and no resize for the
+     87 and 63 keys of X10's ring6 and path5 cascades. *)
+  let visited = Visited.create () and steps = Steps.create 256 in
+  let handle_calls = ref 0 in
   let states = ref 0
   and transitions = ref 0
   and leaves = ref 0
@@ -354,19 +399,35 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
             { w with decisions; sum = w.sum + decision_item p view value })
       w actions
 
-  and step_node trace w p event =
+  (* [event_key] is 0 for [Init], the crashed id for [Crash] and the
+     sender mixed with the message's hash for [Deliver]. *)
+  and step_node trace w p event ~event_key =
     match Node_map.find_opt p w.alive with
     | None -> w (* crashed meanwhile; event is void *)
     | Some node ->
-        let state, actions = Protocol.handle cfg node.state event in
+        let key = mix (mix (mix 0 (Node_id.to_int p)) node.fp) event_key in
+        let bucket = match Steps.find steps key with b -> b | exception Not_found -> [] in
+        let { next; actions; _ } =
+          match find_step node.state event bucket with
+          | s -> s
+          | exception Not_found ->
+              incr handle_calls;
+              let state, actions = Protocol.handle cfg node.state event in
+              let next =
+                if state == node.state then node
+                else { state; fp = Protocol.fingerprint value_fp state }
+              in
+              let s = { input = node.state; event; next; actions } in
+              Steps.replace steps key (s :: bucket);
+              s
+        in
         let w =
-          if state == node.state then w
+          if next.state == node.state then w
           else
-            let fp = Protocol.fingerprint value_fp state in
             {
               w with
-              alive = Node_map.add p { state; fp } w.alive;
-              sum = w.sum - node_item p node.fp + node_item p fp;
+              alive = Node_map.add p next w.alive;
+              sum = w.sum - node_item p node.fp + node_item p next.fp;
             }
         in
         apply_actions trace w p actions
@@ -464,7 +525,8 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
         | Msg head ->
             let w = put_channel w key c.queue_fp head.next in
             step_node trace w (Node_id.of_int d)
-              (Protocol.Deliver { src = Node_id.of_int s; msg = head.msg }))
+              (Protocol.Deliver { src = Node_id.of_int s; msg = head.msg })
+              ~event_key:(mix s head.msg_fp))
     | Notify (o, c) ->
         let n = (o, c) in
         let w =
@@ -474,7 +536,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
             sum = w.sum - pair_item notif_tag n;
           }
         in
-        step_node trace w (Node_id.of_int o) (Protocol.Crash (Node_id.of_int c))
+        step_node trace w (Node_id.of_int o) (Protocol.Crash (Node_id.of_int c)) ~event_key:c
     | Drop (s, d) -> (
         let key = (s, d) in
         let c = Channel_map.find key w.channels in
@@ -543,7 +605,7 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
     in
     (* Initialisation is not a scheduling choice: all nodes boot before
        the first crash, so it precedes every move of a trace. *)
-    Node_set.fold (fun p w -> step_node [] w p Protocol.Init) (Graph.nodes graph) w
+    Node_set.fold (fun p w -> step_node [] w p Protocol.Init ~event_key:0) (Graph.nodes graph) w
   in
   (match mode with
   | Exhaustive -> dfs [] initial
@@ -569,4 +631,5 @@ let explore ?(fd = `Channel_consistent) ?(channel = `Reliable_fifo)
     leaves = !leaves;
     violations = List.rev !violations;
     truncated = !truncated;
+    handle_calls = !handle_calls;
   }

@@ -18,6 +18,14 @@
     pending crashes and the loss budgets.  Counterexample traces are
     kept as moves and rendered only for the violations reported.
 
+    Moves at different nodes commute, so one node step recurs in every
+    interleaving that reaches it.  {!Cliffedge.Protocol.handle} is a
+    pure function of the config, the state and the event, so a call
+    keeps each step's next state, fingerprint and actions and reuses
+    them when the same physical state meets the same event again (for a
+    delivery: the same sender and the same physical message).  The
+    cache lives for one [explore] call.
+
     The properties are {!Cliffedge.Checker}'s.  At each [Decide] action
     the explorer hands the new decision to
     {!Cliffedge.Checker.at_decision} (CD1, CD2, CD5); at each quiescent
@@ -80,6 +88,9 @@ type stats = {
   leaves : int;  (** quiescent configurations reached *)
   violations : violation list;
   truncated : bool;  (** hit [max_states] before exhausting the space *)
+  handle_calls : int;
+      (** {!Cliffedge.Protocol.handle} calls made: the node steps the
+          transition cache had not seen *)
 }
 
 val explore :

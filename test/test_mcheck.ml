@@ -92,11 +92,14 @@ let test_deterministic () =
 
 let test_star5_hub_pinned () =
   (* Thirty times X10's largest row: a fingerprint collision would merge
-     two states and move these counts. *)
+     two states and move these counts.  Of its 144 545 node steps (the
+     Init steps, deliveries and notifications), the transition cache
+     answers all but 2 530. *)
   let stats = Explorer.explore ~graph:(Topology.star 5) ~crashes:[ n 0 ] () in
   Alcotest.(check int) "states" 26_997 stats.states_explored;
   Alcotest.(check int) "transitions" 144_541 stats.transitions;
   Alcotest.(check int) "leaves" 5 stats.leaves;
+  Alcotest.(check int) "handle calls" 2_530 stats.handle_calls;
   Alcotest.(check bool) "ok" true (Explorer.ok stats)
 
 (* Worlds large enough that a move which left the world's hash sum
@@ -108,6 +111,20 @@ let check_counts (states, transitions, leaves, violations, truncated) stats =
   Alcotest.(check int) "leaves" leaves stats.leaves;
   Alcotest.(check int) "violations" violations (List.length stats.violations);
   Alcotest.(check bool) "truncated" truncated stats.truncated
+
+(* X10's two cascades, the mcheck-small benchmark's op: 696 and 547
+   node steps, of which the transition cache leaves 148 and 76 to
+   [Protocol.handle].  A cache that stopped hitting would move the last
+   count. *)
+let test_ring6_cascade_pinned () =
+  let stats = Explorer.explore ~graph:(Topology.ring 6) ~crashes:[ n 2; n 3; n 4 ] () in
+  check_counts (414, 752, 22, 0, false) stats;
+  Alcotest.(check int) "handle calls" 148 stats.handle_calls
+
+let test_path5_cascade_pinned () =
+  let stats = Explorer.explore ~graph:(Topology.path 5) ~crashes:[ n 2; n 3; n 1 ] () in
+  check_counts (341, 604, 13, 0, false) stats;
+  Alcotest.(check int) "handle calls" 76 stats.handle_calls
 
 let test_star6_hub_bounded_pinned () =
   check_counts (50_000, 366_269, 1, 0, true)
@@ -150,6 +167,8 @@ let suite =
       Alcotest.test_case "truncation reported" `Quick test_truncation_reported;
       Alcotest.test_case "deterministic" `Quick test_deterministic;
       Alcotest.test_case "star5 hub pinned" `Quick test_star5_hub_pinned;
+      Alcotest.test_case "ring6 cascade pinned" `Quick test_ring6_cascade_pinned;
+      Alcotest.test_case "path5 cascade pinned" `Quick test_path5_cascade_pinned;
       Alcotest.test_case "star6 hub bounded pinned" `Quick test_star6_hub_bounded_pinned;
       Alcotest.test_case "torus3x3 bounded pinned" `Quick test_torus3x3_bounded_pinned;
       Alcotest.test_case "star4 lossy pinned" `Quick test_star4_lossy_pinned;

@@ -257,6 +257,63 @@ let prop_fingerprint_separates =
       done;
       true)
 
+(* The model checker's transition cache reuses a step's result whenever
+   one state meets one event again, which is exact only while [handle]
+   reads nothing but its arguments.  Along a walk, each state is stepped
+   twice on its event, and the whole walk is replayed from a physically
+   distinct initial state with freshly built events: at every step all
+   four results must agree on the next state's fingerprint and the
+   rendered actions. *)
+let render_actions actions =
+  let pp_view = Cliffedge.View.pp in
+  let action ppf = function
+    | Protocol.Monitor targets -> Format.fprintf ppf "monitor %a" Node_set.pp targets
+    | Protocol.Send { dst; msg } ->
+        Format.fprintf ppf "send %a %a" Node_id.pp dst (Message.pp Format.pp_print_string) msg
+    | Protocol.Decide { view; value } -> Format.fprintf ppf "decide %a %s" pp_view view value
+    | Protocol.Note (Protocol.Proposed v) -> Format.fprintf ppf "proposed %a" pp_view v
+    | Protocol.Note (Protocol.Rejected_view v) -> Format.fprintf ppf "rejected %a" pp_view v
+    | Protocol.Note (Protocol.Attempt_failed v) -> Format.fprintf ppf "failed %a" pp_view v
+    | Protocol.Note (Protocol.Advanced_round { view; round }) ->
+        Format.fprintf ppf "round %d of %a" round pp_view view
+    | Protocol.Note (Protocol.Early_outcome { view; success }) ->
+        Format.fprintf ppf "outcome %b of %a" success pp_view view
+  in
+  Format.asprintf "%a" (Format.pp_print_list ~pp_sep:Format.pp_print_space action) actions
+
+let prop_handle_pure =
+  QCheck2.Test.make ~name:"handle is a function of its arguments" ~count:100
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let c = cfg ~early_stopping:(Int.equal (seed mod 2) 0) in
+      let step st event =
+        let st, actions = Protocol.handle c st event in
+        (st, (Protocol.fingerprint Hashtbl.hash st, render_actions actions))
+      in
+      let same (fp1, actions1) (fp2, actions2) =
+        Int.equal fp1 fp2 && String.equal actions1 actions2
+      in
+      (* The results of one replay, stepping each state twice. *)
+      let run () =
+        let rng = Prng.create seed in
+        let results = ref [] in
+        let twice st event =
+          let next, result = step st event in
+          if not (same result (snd (step st event))) then
+            QCheck2.Test.fail_report "one state and one event, two results";
+          results := result :: !results;
+          next
+        in
+        let st = ref (twice (Protocol.init ~self) Protocol.Init) in
+        for _ = 1 to 60 do
+          match random_event rng !st with
+          | None -> ()
+          | Some event -> st := twice !st event
+        done;
+        List.rev !results
+      in
+      List.equal same (run ()) (run ()))
+
 let suite =
   ( "protocol invariants",
     [
@@ -264,4 +321,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_invariants_early;
       QCheck_alcotest.to_alcotest prop_fingerprint_replay;
       QCheck_alcotest.to_alcotest prop_fingerprint_separates;
+      QCheck_alcotest.to_alcotest prop_handle_pure;
     ] )
